@@ -63,7 +63,9 @@ type Cache struct {
 }
 
 // New builds a cache of sizeBytes organised as ways-associative sets of
-// lineBytes lines. The set count must come out a power of two.
+// lineBytes lines. The line size must be a power of two; the set count
+// need not be, because a line's set is its block number modulo the set
+// count (the paper's 12 MB 16-way L3 has 12288 sets).
 func New(name string, sizeBytes, ways, lineBytes int) (*Cache, error) {
 	if sizeBytes <= 0 || ways <= 0 || lineBytes <= 0 {
 		return nil, fmt.Errorf("cache %s: parameters must be positive", name)

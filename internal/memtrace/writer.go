@@ -18,8 +18,8 @@ const DefaultBlockRefs = 4096
 // Writer streams references into the binary trace format. It
 // implements trace.Sink, so attaching one to sim.Options.TraceSink
 // records a run as it executes — at any sim.Options.Threads count: the
-// parallel engine's sequencer calls Emit single-threaded in committed
-// step order, so the recorded bytes are identical to a sequential
+// parallel engine calls Emit one call at a time, under its commit
+// token, in committed step order, so the recorded bytes are identical to a sequential
 // capture (TestCaptureReplayDeterminismThreaded). After the initial
 // blocks reach their steady-state capacity, Emit allocates nothing.
 //

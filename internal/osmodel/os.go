@@ -533,9 +533,9 @@ func (o *OS) TranslateMapped(p *Process, vaddr uint64) (phys addr.Phys, onFast, 
 // the backing frame but does not set the frame's CLOCK reference bit.
 // The parallel engine's eviction-safe mode uses it so that reference
 // bits — which steer CLOCK victim selection — can be logged per core
-// and replayed by the sequencer in commit order (via MarkReferenced),
-// keeping eviction decisions bit-identical to the sequential engine
-// even while cores run ahead out of order.
+// and replayed by the committing worker in commit order (via
+// MarkReferenced), keeping eviction decisions bit-identical to the
+// sequential engine even while cores run ahead out of order.
 //
 // Concurrency contract: distinct goroutines may call it for distinct
 // processes concurrently with a committer running Translate, provided
@@ -555,7 +555,7 @@ func (o *OS) TranslateMappedQuiet(p *Process, vaddr uint64) (phys addr.Phys, fra
 }
 
 // MarkReferenced sets a frame's CLOCK reference bit. It is the
-// sequencer-side replay of the bits TranslateMappedQuiet deliberately
+// commit-side replay of the bits TranslateMappedQuiet deliberately
 // did not set; applying the logged bits in commit order reproduces the
 // sequential engine's CLOCK state exactly.
 func (o *OS) MarkReferenced(frame uint32) { o.meta[frame].ref = true }

@@ -332,10 +332,16 @@ func (s *Server) runJob(j *Job) {
 
 // simThreads resolves a job's per-simulation thread count. Jobs are
 // parallel by default: an unspecified count (0) becomes 2, since the
-// parallel engine now covers timeline sampling, trace capture and
-// evicting footprints, and its batched step loop beats the sequential
-// engine even on a single CPU (see BENCH_parallel.json). An explicit
-// 1 still requests the sequential engine. Larger requests are clamped
+// parallel engine covers timeline sampling, trace capture and evicting
+// footprints. Two threads do not make every job faster. On a 2-vCPU
+// Xeon, a job shaped like perfbench's chamd-mix sim jobs (scale 1024,
+// 12 cores, 50k warm-up plus 50k instructions, GemsFDTD, lbm or
+// stream) takes a median of about 41 ms alone at threads 1 and about
+// 55 ms at threads 2. Under chamd-mix's open-loop load at this default,
+// perfbench measures job_p50_ms at 58–98 ms across runs on that host.
+// Changing the default
+// needs its own perfbench comparison. An explicit 1 still requests
+// the sequential engine. Larger requests are clamped
 // against the worker pool — with Workers jobs potentially running at
 // once, each may use about GOMAXPROCS/Workers threads before the pool
 // oversubscribes the host — but never below 2, so the algorithmic

@@ -12,8 +12,8 @@ import (
 )
 
 // This file is the parallel execution engine: workers run cores ahead
-// through their private state and park on shared-phase events, which a
-// single sequencer commits in the scheduler's global (time, id) order.
+// through their private state, park on shared-phase events, and commit
+// parked events themselves in the scheduler's global (time, id) order.
 //
 // # Step decomposition
 //
@@ -26,25 +26,26 @@ import (
 // shared levels is entirely local and retires on the worker. Everything
 // else — the shared cache levels, the memory-system controller, the
 // DRAM devices, page faults — is deferred as a parked event carrying
-// the step's commit key (the core's pre-step clock) and executed by the
-// sequencer via the same finishStep/applyWalk/AccessShared code the
-// sequential engine runs.
+// the step's commit key (the core's pre-step clock) and executed by
+// whichever worker holds the commit token, via the same
+// finishStep/applyWalk/AccessShared code the sequential engine runs.
 //
 // # Determinism
 //
 // The sequential scheduler executes steps in (pre-step time, core id)
 // order. Local prefixes commute, so only the shared suffixes' relative
-// order matters; the sequencer commits parked events by exactly that
-// (key, id) order, and it commits an event only once no running core
-// could still produce an earlier one: a running core j's published
-// clock pub[j] lower-bounds the key of every event j may still emit
-// (clocks never decrease), so event (K, i) waits while some running j
-// has pub[j] < K, or pub[j] == K with j < i. Hence shared state sees
-// the sequential interleaving bit for bit, per-core state evolves in
-// program order on a single worker, and the OS access counters are
-// commutative sums merged at the end of the pass — results are
-// DeepEqual-identical to the sequential engine at any thread count
-// (TestParallelEquivalence pins this for every registered policy).
+// order matters; committers take parked events in exactly that (key,
+// id) order, and commit an event only once no core could still produce
+// an earlier one: a not-done core j's published clock pub[j]
+// lower-bounds the key of every event j may still emit (clocks never
+// decrease) and equals the key of the event j has parked, so event
+// (K, i) is committable exactly when (K, i) is the smallest (pub[j], j)
+// over all cores not done. Hence shared state sees the sequential
+// interleaving bit for bit, per-core state evolves in program order,
+// and the OS access counters are commutative sums merged at the end of
+// the pass — results are DeepEqual-identical to the sequential engine
+// at any thread count (TestParallelEquivalence pins this for every
+// registered policy).
 //
 // # Commit-ordered side channels (timeline, capture, reference bits)
 //
@@ -53,20 +54,20 @@ import (
 // smaller (key, id) has fully executed. Three per-step side effects
 // exploit it to run under parallelism without breaking bit-identity:
 //
-//   - Timeline sampling. Only the sequencer samples. Every commit
-//     re-runs the sequential engine's epoch check at the committing
-//     step's position, and a fully-local step that would otherwise
-//     retire on its worker parks a no-op evEpoch event whenever its
-//     post-gap clock reaches the worker's (atomically loaded) next
-//     -epoch bound. That load can only lag the true bound — the
-//     sequencer alone advances it, and only at commits that precede the
-//     step in (key, id) order — so skipping the park is always sound
-//     and parking is at worst spurious. Samples and Options.Progress
-//     callbacks therefore fire in exact step order on one goroutine.
+//   - Timeline sampling. Only committers sample. Every commit re-runs
+//     the sequential engine's epoch check at the committing step's
+//     position, and a fully-local step that would otherwise retire on
+//     its worker parks a no-op evEpoch event whenever its post-gap clock
+//     reaches the worker's (atomically loaded) next-epoch bound. That
+//     load can only lag the true bound — committers alone advance it,
+//     and only at commits that precede the step in (key, id) order — so
+//     skipping the park is always sound and parking is at worst
+//     spurious. Samples and Options.Progress callbacks therefore fire in
+//     exact step order, serialised by the commit token.
 //
 //   - Trace capture. Each worker tees the references it consumes into
 //     a per-core single-producer/single-consumer ring stamped with the
-//     step's commit key; before each commit the sequencer drains all
+//     step's commit key; before each commit the committer drains all
 //     rings in merged (key, id) order up to the committing event. The
 //     sink sees the sequential engine's exact Emit sequence, which is
 //     what makes threaded re-capture byte-identical (the CMTR writer's
@@ -76,15 +77,15 @@ import (
 //     writes would reach the page table out of order and silently steer
 //     CLOCK victim selection away from the sequential run, so in
 //     evictable mode workers translate with TranslateMappedQuiet, log
-//     the touched frame in a second per-core ring, and the sequencer
-//     replays the bits in commit order through os.MarkReferenced.
+//     the touched frame in a second per-core ring, and committers replay
+//     the bits in commit order through os.MarkReferenced.
 //
 // A core whose ring fills parks a no-op evSync event; committing it
 // (like any commit) drains the rings, then the core retries the step.
 //
 // # Run-ahead translation safety (eviction-safe mode)
 //
-// Workers translate mapped pages lock-free while the sequencer handles
+// Workers translate mapped pages lock-free while committers handle
 // faults. When System.translationsStable proves no eviction can ever
 // occur the engine runs in stable mode and the fast path is exactly
 // PR-era run-ahead. Otherwise it runs in evictable mode, built on the
@@ -93,13 +94,14 @@ import (
 //
 //   - Workers validate the generation around each lock-free translation
 //     and park the step as a fault on any mismatch, handing the
-//     translation to the sequencer to replay authoritatively in order.
+//     translation to a committer to replay authoritatively in order.
 //
-//   - When a committed fault must evict, the sequencer first fences the
-//     workers: it raises e.fence, waits until every worker is parked at
+//   - When a committed fault must evict, the committer first fences the
+//     other workers: it raises e.fence, waits until each is parked at
 //     the fence, asleep, or exited (no step mid-flight), then runs the
-//     eviction. Ref bits were replayed in commit order, so CLOCK picks
-//     the bit-identical victim.
+//     eviction. It keeps the commit token throughout, so the commit role
+//     cannot pass to a fenced worker. Ref bits were replayed in commit
+//     order, so CLOCK picks the bit-identical victim.
 //
 //   - The undrained touch-ring entries are precisely the steps that
 //     sequentially follow the eviction but already translated against
@@ -114,17 +116,25 @@ import (
 //
 // # Liveness
 //
-// A worker sleeps only when every core it owns is parked or done, and
-// parking/finishing always signals the sequencer. The sequencer waits
-// only when (a) nothing is parked — then some core is running and will
-// park, finish, or drain the pass — or (b) a commit is blocked on a
-// laggard, with a watermark (wmKey/wmWait) armed so the laggard's next
-// publish at or past the key (or its park/finish) wakes the sequencer.
-// Workers re-check the watermark after every local step, so a signal
-// can be delayed by at most one step, never lost. While the fence is
-// up workers entering sleep or the fence signal the sequencer, whose
-// quiesce loop re-checks; nothing unparks cores mid-commit, so fenced
-// and sleeping workers stay put until the fence drops.
+// executePar runs Threads workers, one on the calling goroutine, and
+// they alone commit. A worker that parks or finishes a core sets the
+// pending mark and then tries to take the commit token (an atomic flag)
+// with CompareAndSwap; holding it, it clears the mark and commits
+// events until the smallest (pub, id) core is not parked. A worker that
+// loses the CAS leaves its mark behind, and the holder re-checks the
+// mark after releasing the token. Go atomics are sequentially
+// consistent, so either the loser's CAS sees the release or the
+// holder's re-check sees the mark: a park or finish that makes an event
+// committable always reaches a committer without anyone waiting for
+// the token.
+// Each running core eventually parks or finishes, and each does so with
+// a commit attempt, so a committable event never stays uncommitted
+// while every worker sleeps. A worker sleeps only when every core it
+// owns is parked or done; the committer that unparks one of its cores
+// wakes it. While the fence is up, workers entering sleep or the fence
+// signal the fencing committer, whose quiesce loop re-checks; nothing
+// unparks cores mid-commit, so fenced and sleeping workers stay put
+// until the fence drops.
 
 // Core run states (parEngine.status).
 const (
@@ -147,7 +157,7 @@ type parEvent struct {
 	write bool
 	// replay marks an evWalk for a replayed post-fault reference. The
 	// sequential engine samples the timeline only on the translate
-	// branch of a step, which replays skip — so the sequencer must not
+	// branch of a step, which replays skip — so a committer must not
 	// sample when committing a replayed walk either.
 	replay bool
 	// key is the commit key: the core's pre-step clock.
@@ -174,13 +184,14 @@ const (
 
 // refRing is a single-producer/single-consumer ring of captured
 // references stamped with their step's commit key: the owning worker
-// pushes during run-ahead, the sequencer drains in commit order. head
-// and tail are free-running counters (masked on access); the atomic
-// tail store publishes entries, the atomic head store frees slots.
+// pushes during run-ahead, the commit-token holder drains in commit
+// order. head and tail are free-running counters (masked on access);
+// the atomic tail store publishes entries, the atomic head store frees
+// slots.
 type refRing struct {
 	key  [parRingCap]uint64
 	ref  [parRingCap]trace.Ref
-	head atomic.Uint64 // consumed by the sequencer
+	head atomic.Uint64 // consumed by the committer
 	tail atomic.Uint64 // published by the worker
 }
 
@@ -194,7 +205,7 @@ func (r *refRing) push(key uint64, ref trace.Ref) {
 
 // touchRing is the frame-touch analogue of refRing: the CLOCK reference
 // bits a worker's quiet translations owe the page table, replayed by
-// the sequencer in commit order (evictable mode only).
+// committers in commit order (evictable mode only).
 type touchRing struct {
 	key   [parRingCap]uint64
 	frame [parRingCap]uint32
@@ -224,8 +235,7 @@ var ErrRunAheadCollision = errors.New("run-ahead eviction collision")
 // parEngine is the parallel execution engine's shared state, built once
 // at System construction and reset by each executePar pass.
 type parEngine struct {
-	s       *System
-	threads int
+	s *System
 
 	// capturing tees worker-consumed references through per-core rings
 	// to the trace sink; evictable runs the generation-validated,
@@ -233,8 +243,19 @@ type parEngine struct {
 	capturing bool
 	evictable bool
 
-	mu      sync.Mutex
-	seqCond *sync.Cond // sequencer waits here; workers signal it
+	// committing is the commit token: only the worker whose
+	// CompareAndSwap(false, true) succeeds commits, so only it mutates
+	// shared simulation state. Nobody blocks on it; a loser leaves
+	// pending set, which the holder re-checks after releasing. commits
+	// counts toward the next cancellation check; guarded by the token.
+	committing atomic.Bool
+	pending    atomic.Bool
+	commits    int
+
+	// mu guards sleeping, fencing and stopping; fenceCond is where a
+	// committer waits in quiesce for the other workers to settle.
+	mu        sync.Mutex
+	fenceCond *sync.Cond
 
 	workers []*parWorker
 	owner   []*parWorker // owner[i] runs core i
@@ -247,24 +268,16 @@ type parEngine struct {
 	touches []touchRing // per-core ref-bit rings (evictable only)
 
 	// pub[i] lower-bounds the commit key of core i's next parked event:
-	// the pre-step clock while a step is in flight (published at the end
-	// of the previous step), the core's clock while idle-runnable, and
-	// MaxUint64 once done.
+	// the core's clock between steps, hence the pre-step clock (the
+	// key) while a step is in flight or parked, and MaxUint64 once done.
 	pub []atomic.Uint64
 
-	// Sequencer wait watermark: when wmWait is set, a worker publishing
-	// a clock >= wmKey signals seqCond ( >= , not > : a zero-advance
-	// step can unblock an id tie at the same key).
-	wmKey  atomic.Uint64
-	wmWait atomic.Bool
-
-	// fence halts workers between steps while the sequencer commits an
+	// fence halts workers between steps while a committer commits an
 	// evicting fault; fencing mirrors it under mu for the condvar
 	// protocol.
 	fence   atomic.Bool
 	fencing bool
 
-	nDone   int // cores done this pass; guarded by mu
 	stopped bool
 	stop    atomic.Bool
 	err     error // first failure; guarded by mu
@@ -272,10 +285,11 @@ type parEngine struct {
 
 // parWorker owns the contiguous core range [lo, hi).
 type parWorker struct {
-	eng     *parEngine
-	id      int
-	lo, hi  int
-	waiting bool // parked in cond.Wait; guarded by eng.mu
+	eng    *parEngine
+	lo, hi int
+	// waiting marks the worker asleep in cond.Wait: stored under eng.mu,
+	// loaded lock-free by committers deciding whether to wake it.
+	waiting atomic.Bool
 	fenced  bool // parked at the eviction fence; guarded by eng.mu
 	exited  bool // run() returned this pass; guarded by eng.mu
 	cond    *sync.Cond
@@ -289,7 +303,6 @@ func newParEngine(s *System, threads int) *parEngine {
 	n := s.cores.n()
 	e := &parEngine{
 		s:         s,
-		threads:   threads,
 		capturing: s.sinkOn,
 		evictable: !s.translationsStable(),
 		owner:     make([]*parWorker, n),
@@ -304,12 +317,12 @@ func newParEngine(s *System, threads int) *parEngine {
 	if e.evictable {
 		e.touches = make([]touchRing, n)
 	}
-	e.seqCond = sync.NewCond(&e.mu)
+	e.fenceCond = sync.NewCond(&e.mu)
 	for i := range e.ops {
 		e.ops[i] = make([]hier.SharedOp, 0, s.hier.MaxOpsPerWalk())
 	}
 	for id := 0; id < threads; id++ {
-		w := &parWorker{eng: e, id: id, lo: id * n / threads, hi: (id + 1) * n / threads}
+		w := &parWorker{eng: e, lo: id * n / threads, hi: (id + 1) * n / threads}
 		w.cond = sync.NewCond(&e.mu)
 		e.workers = append(e.workers, w)
 		for i := w.lo; i < w.hi; i++ {
@@ -319,9 +332,10 @@ func newParEngine(s *System, threads int) *parEngine {
 	return e
 }
 
-// executePar runs one pass on the parallel engine: spawn the workers,
-// sequence commits on the calling goroutine, join, and fold the
-// workers' touch tallies into the OS.
+// executePar runs one pass on the parallel engine: the workers, the
+// first on the calling goroutine, run and commit until every core is
+// done; then join, flush the side-channel rings, and fold the workers'
+// touch tallies into the OS.
 func (s *System) executePar(budget uint64) error {
 	s.beginPass(budget)
 	e := s.par
@@ -329,48 +343,35 @@ func (s *System) executePar(budget uint64) error {
 	e.err = nil
 	e.stopped = false
 	e.stop.Store(false)
-	e.nDone = 0
-	e.wmWait.Store(false)
+	e.pending.Store(false)
+	e.committing.Store(false)
+	e.commits = 0
 	e.fence.Store(false)
 	e.fencing = false
 	for i := 0; i < c.n(); i++ {
 		e.status[i].Store(coreRunning)
 		e.pub[i].Store(c.time[i])
 	}
-	var wg sync.WaitGroup
 	for _, w := range e.workers {
-		w.exited = false
-		w.fenced = false
+		w.exited, w.fenced = false, false
+	}
+	var wg sync.WaitGroup
+	for _, w := range e.workers[1:] {
 		wg.Add(1)
-		go func(w *parWorker) {
+		go func() {
 			defer wg.Done()
 			w.run()
-			e.mu.Lock()
-			w.exited = true
-			e.mu.Unlock()
-			e.seqCond.Signal()
-		}(w)
+		}()
 	}
-	err := e.sequence()
-	e.mu.Lock()
-	e.stopped = true
-	e.stop.Store(true)
-	if e.err == nil {
-		e.err = err
-	}
-	for _, w := range e.workers {
-		if w.waiting || w.fenced {
-			w.waiting = false
-			w.cond.Signal()
-		}
-	}
-	e.mu.Unlock()
+	e.workers[0].run()
 	wg.Wait()
 	s.mergeTouches()
-	e.mu.Lock()
-	err = e.err
-	e.mu.Unlock()
-	return err
+	if e.err == nil && (e.capturing || e.evictable) {
+		// Flush the tail: every step has executed, so the rings drain to
+		// empty in (key, id) order.
+		e.drainLogs(math.MaxUint64, c.n())
+	}
+	return e.err
 }
 
 // mergeTouches folds the workers' per-core mapped-translation tallies
@@ -386,99 +387,88 @@ func (s *System) mergeTouches() {
 	}
 }
 
-// sequence is the commit loop, run on executePar's goroutine: pick the
-// parked event with the smallest (key, id), wait out laggards that
-// could still produce an earlier one, drain the side-channel rings up
-// to that position, commit it, and unpark the core.
-func (e *parEngine) sequence() error {
-	s := e.s
-	c := &s.cores
-	n := c.n()
-	commits := 0
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for {
-		if e.err != nil {
-			return e.err
+// commitReady commits every committable event on the calling worker.
+// It never waits for the commit token: a worker that loses the CAS
+// leaves the pending mark, which the holder re-checks after it releases
+// the token, so no commit is lost. The holder clears the mark before it
+// scans, so a park that lands after the scan re-arms it.
+func (w *parWorker) commitReady() {
+	e := w.eng
+	e.pending.Store(true)
+	for e.pending.Load() && e.committing.CompareAndSwap(false, true) {
+		e.pending.Store(false)
+		if err := w.commitLoop(); err != nil {
+			e.fail(err)
 		}
-		if e.nDone == n {
-			if e.capturing || e.evictable {
-				// Flush the tail: every step has executed, so the rings
-				// drain to empty in (key, id) order.
-				e.mu.Unlock()
-				e.drainLogs(math.MaxUint64, n)
-				e.mu.Lock()
-			}
-			return nil
-		}
-		// Minimum (key, id) over parked events; ascending id keeps the
-		// smallest id on key ties.
-		best := -1
-		var bestKey uint64
-		for i := 0; i < n; i++ {
-			if e.status[i].Load() != coreParked {
-				continue
-			}
-			if k := e.event[i].key; best < 0 || k < bestKey {
-				best, bestKey = i, k
-			}
-		}
-		if best < 0 {
-			// Nothing parked: some core is running (nDone < n) and its
-			// park/finish will signal. Publishes alone need not wake us.
-			e.seqWaitLocked(math.MaxUint64)
-			continue
-		}
-		blocked := false
-		for j := 0; j < n; j++ {
-			if e.status[j].Load() != coreRunning {
-				continue
-			}
-			if pj := e.pub[j].Load(); pj < bestKey || (pj == bestKey && j < best) {
-				blocked = true
-				break
-			}
-		}
-		if blocked {
-			e.seqWaitLocked(bestKey)
-			continue
-		}
-		e.mu.Unlock()
-		if e.capturing || e.evictable {
-			// Commit safety makes every step before (bestKey, best) fully
-			// executed and its ring entries published, so this drain
-			// reproduces the sequential prefix exactly.
-			e.drainLogs(bestKey, best)
-		}
-		err := e.commit(best)
-		if commits++; err == nil && commits >= ctxCheckInterval {
-			commits = 0
-			if cerr := s.runCtx.Err(); cerr != nil {
-				err = fmt.Errorf("sim: run canceled: %w", cerr)
-			}
-		}
-		e.mu.Lock()
-		if err != nil {
-			return err
-		}
-		// Unpark: the core resumes in program order on its worker.
-		e.pub[best].Store(c.time[best])
-		e.status[best].Store(coreRunning)
-		if w := e.owner[best]; w.waiting {
-			w.waiting = false
-			w.cond.Signal()
-		}
+		e.committing.Store(false)
 	}
 }
 
-// seqWaitLocked parks the sequencer (mu held) until a worker signals:
-// any park/finish, or — when waiting out a laggard — a publish at or
-// past key.
-func (e *parEngine) seqWaitLocked(key uint64) {
-	e.wmKey.Store(key)
-	e.wmWait.Store(true)
-	e.seqCond.Wait()
-	e.wmWait.Store(false)
+// commitLoop (commit token held) commits parked events in (key, id)
+// order while the next one is committable: drain the side-channel rings
+// up to its position, commit it, and unpark the core.
+func (w *parWorker) commitLoop() error {
+	e := w.eng
+	s := e.s
+	c := &s.cores
+	for !e.stop.Load() {
+		i := e.committable()
+		if i < 0 {
+			return nil
+		}
+		if e.capturing || e.evictable {
+			// Commit safety makes every step before (key, i) fully
+			// executed and its ring entries published, so this drain
+			// reproduces the sequential prefix exactly.
+			e.drainLogs(e.event[i].key, i)
+		}
+		err := e.commit(w, i)
+		if err == nil {
+			err = s.checkCancel(&e.commits)
+		}
+		if err != nil {
+			return err
+		}
+		// Unpark: the core resumes in program order on its owner. The
+		// status store precedes the waiting load, and a sleeping owner
+		// stores waiting before scanning statuses, so either the owner
+		// sees the core running or it is woken here.
+		e.pub[i].Store(c.time[i])
+		e.status[i].Store(coreRunning)
+		if o := e.owner[i]; o.waiting.Load() {
+			e.mu.Lock()
+			if o.waiting.Load() {
+				o.waiting.Store(false)
+				o.cond.Signal()
+			}
+			e.mu.Unlock()
+		}
+	}
+	return nil
+}
+
+// committable returns the core whose parked event commits next, or -1:
+// the core with the smallest (pub, id) among those not done, when it is
+// parked. A parked core's pub is its event key and every running core's
+// pub bounds its future keys, so nothing earlier can still appear.
+// Cores parked during the scan only make the answer conservative; their
+// parker's commit attempt re-scans.
+func (e *parEngine) committable() int {
+	best, parked := -1, false
+	var bestPub uint64
+	for j := range e.pub {
+		st := e.status[j].Load()
+		if st == coreDone {
+			continue
+		}
+		if p := e.pub[j].Load(); best < 0 || p < bestPub {
+			best, bestPub, parked = j, p, st == coreParked
+		}
+	}
+	if !parked {
+		return -1
+	}
+	return best
 }
 
 // drainLogs replays side-channel ring entries up to and including the
@@ -548,11 +538,12 @@ func (e *parEngine) drainRefs(bk uint64, bi int) {
 	}
 }
 
-// commit executes core i's parked shared-phase event. It is the only
-// place shared simulation state (LLC, controller, devices, OS tables)
-// mutates during a parallel pass, and — matching the sequential step
-// order — the only place timeline samples are taken.
-func (e *parEngine) commit(i int) error {
+// commit executes core i's parked shared-phase event on worker w, the
+// commit-token holder. It is the only place shared simulation state
+// (LLC, controller, devices, OS tables) mutates during a parallel pass,
+// and — matching the sequential step order — the only place timeline
+// samples are taken.
+func (e *parEngine) commit(w *parWorker, i int) error {
 	s := e.s
 	c := &s.cores
 	ev := &e.event[i]
@@ -564,7 +555,7 @@ func (e *parEngine) commit(i int) error {
 			if !e.evictable {
 				return fmt.Errorf("sim: parallel engine: fault at core %d would evict a page, violating the translation-stability bound; rerun with Threads=1", i)
 			}
-			p, st, err := e.evictingTranslate(i, ev)
+			p, st, err := e.evictingTranslate(w, i, ev)
 			if err != nil {
 				return err
 			}
@@ -608,16 +599,16 @@ func (e *parEngine) commit(i int) error {
 	return nil
 }
 
-// evictingTranslate commits a fault that must evict: quiesce the
+// evictingTranslate commits a fault that must evict: quiesce the other
 // workers behind the fence, run the authoritative translation (CLOCK
 // sees the commit-ordered reference bits, so it picks the sequential
 // victim), and verify no run-ahead step already translated against the
 // reclaimed frame. The page-table generation the eviction bumps is what
 // workers validate against once the fence drops.
-func (e *parEngine) evictingTranslate(i int, ev *parEvent) (phys uint64, stall uint64, err error) {
+func (e *parEngine) evictingTranslate(w *parWorker, i int, ev *parEvent) (phys uint64, stall uint64, err error) {
 	s := e.s
 	c := &s.cores
-	if err := e.quiesce(); err != nil {
+	if err := e.quiesce(w); err != nil {
 		return 0, 0, err
 	}
 	defer e.unfence()
@@ -650,16 +641,17 @@ func (e *parEngine) victimTouched(victim uint32) bool {
 	return false
 }
 
-// quiesce raises the eviction fence and waits until no worker is
-// mid-step: each is parked at the fence, asleep with every owned core
-// parked or done, or exited. Nothing unparks cores while the sequencer
-// is here, so the quiescent state holds until unfence.
-func (e *parEngine) quiesce() error {
+// quiesce raises the eviction fence and waits until no worker but the
+// committer self is mid-step: each is parked at the fence, asleep with
+// every owned core parked or done, or exited. Nothing unparks cores
+// while self holds the commit token here, so the quiescent state holds
+// until unfence.
+func (e *parEngine) quiesce(self *parWorker) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.fencing = true
 	e.fence.Store(true)
-	for !e.quiescedLocked() {
+	for !e.quiescedLocked(self) {
 		if e.stopped {
 			e.fencing = false
 			e.fence.Store(false)
@@ -668,14 +660,14 @@ func (e *parEngine) quiesce() error {
 			}
 			return fmt.Errorf("sim: parallel engine: pass stopped during eviction fence")
 		}
-		e.seqCond.Wait()
+		e.fenceCond.Wait()
 	}
 	return nil
 }
 
-func (e *parEngine) quiescedLocked() bool {
+func (e *parEngine) quiescedLocked(self *parWorker) bool {
 	for _, w := range e.workers {
-		if !(w.fenced || w.waiting || w.exited) {
+		if w != self && !(w.fenced || w.waiting.Load() || w.exited) {
 			return false
 		}
 	}
@@ -696,13 +688,13 @@ func (e *parEngine) unfence() {
 }
 
 // fenceWait parks the calling worker at the eviction fence until the
-// sequencer drops it (or the pass stops).
+// committer drops it (or the pass stops).
 func (w *parWorker) fenceWait() {
 	e := w.eng
 	e.mu.Lock()
 	if e.fencing {
 		w.fenced = true
-		e.seqCond.Signal()
+		e.fenceCond.Signal()
 		for e.fencing && !e.stopped {
 			w.cond.Wait()
 		}
@@ -720,24 +712,25 @@ func (e *parEngine) fail(err error) {
 	e.stopped = true
 	e.stop.Store(true)
 	for _, w := range e.workers {
-		if w.waiting || w.fenced {
-			w.waiting = false
+		if w.waiting.Load() || w.fenced {
+			w.waiting.Store(false)
 			w.cond.Signal()
 		}
 	}
 	e.mu.Unlock()
-	e.seqCond.Signal()
+	e.fenceCond.Signal()
 }
 
 // run is a worker's main loop: pick the owned runnable core with the
-// smallest clock, run it for up to parBatchSteps local steps, repeat;
-// sleep when every owned core is parked, exit when all are done or the
-// pass stops. The eviction fence is honoured between steps, so a fence
-// raised mid-step waits at most one step's work.
+// smallest clock, run it for up to parBatchSteps local steps, and after
+// a park or finish commit whatever became committable; sleep when every
+// owned core is parked, exit when all are done or the pass stops. The
+// eviction fence is honoured between steps, so a fence raised mid-step
+// waits at most one step's work.
 func (w *parWorker) run() {
 	e := w.eng
-	s := e.s
-	c := &s.cores
+	c := &e.s.cores
+	defer w.exit()
 	steps := 0
 	for {
 		i := w.pickCore()
@@ -755,27 +748,36 @@ func (w *parWorker) run() {
 				w.fenceWait()
 				break
 			}
-			if steps++; steps >= ctxCheckInterval {
-				steps = 0
-				if err := s.runCtx.Err(); err != nil {
-					e.fail(fmt.Errorf("sim: run canceled: %w", err))
-					return
-				}
+			if err := e.s.checkCancel(&steps); err != nil {
+				e.fail(err)
+				return
 			}
 			if c.instr[i] >= c.budget[i] {
 				w.finish(i)
+				w.commitReady()
 				break
 			}
 			if w.stepLocal(i) {
-				break // parked on a shared-phase event
+				w.commitReady()
+				break
 			}
 		}
 	}
 }
 
+// exit marks the worker gone for the pass, which a quiescing committer
+// counts as settled.
+func (w *parWorker) exit() {
+	e := w.eng
+	e.mu.Lock()
+	w.exited = true
+	e.mu.Unlock()
+	e.fenceCond.Signal()
+}
+
 // pickCore returns the owned running core with the smallest clock, or
 // -1. Reading c.time of an owned core is safe: running cores are
-// stepped only by this worker, and the sequencer's writes during a park
+// stepped only by this worker, and a committer's writes during a park
 // are ordered before the running status it stores afterwards.
 func (w *parWorker) pickCore() int {
 	e := w.eng
@@ -793,34 +795,37 @@ func (w *parWorker) pickCore() int {
 }
 
 // sleep blocks until an owned core is runnable. It reports true when
-// the worker should exit (pass stopped or every owned core done).
+// the worker should exit (pass stopped or every owned core done). The
+// worker has already made its commit attempt for the park that left it
+// idle, so it only waits here for a committer to unpark one of its
+// cores.
 func (w *parWorker) sleep() (exit bool) {
 	e := w.eng
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for {
-		if e.stopped {
-			return true
-		}
+	for !e.stopped {
+		w.waiting.Store(true)
 		allDone := true
 		for i := w.lo; i < w.hi; i++ {
 			switch e.status[i].Load() {
 			case coreRunning:
+				w.waiting.Store(false)
 				return false
 			case coreParked:
 				allDone = false
 			}
 		}
 		if allDone {
+			w.waiting.Store(false)
 			return true
 		}
-		w.waiting = true
 		if e.fencing {
-			// A sleeping worker is quiescent; tell the fencing sequencer.
-			e.seqCond.Signal()
+			// A sleeping worker is quiescent; tell the fencing committer.
+			e.fenceCond.Signal()
 		}
 		w.cond.Wait()
 	}
+	return true
 }
 
 // stepLocal runs one step's core-local prefix on core i, parking the
@@ -828,25 +833,24 @@ func (w *parWorker) sleep() (exit bool) {
 // parked. It mirrors System.step minus the features the engine's
 // remaining fallback conditions exclude (allocation-churn phases,
 // AutoNUMA); timeline sampling and trace capture are deferred to the
-// sequencer through evEpoch events and the capture rings.
+// committers through evEpoch events and the capture rings.
 func (w *parWorker) stepLocal(i int) (parked bool) {
 	e := w.eng
 	s := e.s
 	c := &s.cores
 	key := c.time[i] // pre-step clock = commit key; pub[i] already equals it
 	if (e.capturing && e.refs[i].full()) || (e.evictable && e.touches[i].full()) {
-		// Out of side-channel room: park a no-op sync event so the
-		// sequencer drains the rings in commit order, then retry.
-		e.event[i] = parEvent{kind: evSync, key: key}
-		w.park(i, key)
+		// Out of side-channel room: park a no-op sync event so a
+		// committer drains the rings in commit order, then retry.
+		e.park(i, parEvent{kind: evSync, key: key})
 		return true
 	}
 	replay := c.pendingValid[i]
 	var p uint64
 	var write bool
 	if replay {
-		// Replay the reference whose fault the sequencer committed. Like
-		// the sequential replay path this neither re-translates nor
+		// Replay the reference whose fault was committed. Like the
+		// sequential replay path this neither re-translates nor
 		// re-captures nor samples: the fault commit accounted for all
 		// three.
 		p, write = c.pendingPhys[i], c.pendingWrite[i]
@@ -863,17 +867,16 @@ func (w *parWorker) stepLocal(i int) (parked bool) {
 			// Seqlock-style validation: an eviction bumps the page-table
 			// generation, so a stable read brackets a translation no
 			// eviction raced with. The reference bit is logged, not set —
-			// the sequencer replays bits in commit order so CLOCK victim
+			// committers replay bits in commit order so CLOCK victim
 			// selection stays bit-identical.
 			gen := s.os.PageGen()
 			phys, frame, fast, mapped := s.os.TranslateMappedQuiet(c.proc[i], ref.VAddr)
 			onFast, ok = fast, mapped
 			if !ok || s.os.PageGen() != gen {
 				// Unmapped, or the translation went stale: discard it and
-				// let the sequencer replay the fault path authoritatively
+				// let a committer replay the fault path authoritatively
 				// at this step's commit position.
-				e.event[i] = parEvent{kind: evFault, write: ref.Write, key: key, phys: ref.VAddr}
-				w.park(i, key)
+				e.park(i, parEvent{kind: evFault, write: ref.Write, key: key, phys: ref.VAddr})
 				return true
 			}
 			e.touches[i].push(key, frame)
@@ -882,8 +885,7 @@ func (w *parWorker) stepLocal(i int) (parked bool) {
 			phys, fast, mapped := s.os.TranslateMapped(c.proc[i], ref.VAddr)
 			onFast, ok = fast, mapped
 			if !ok {
-				e.event[i] = parEvent{kind: evFault, write: ref.Write, key: key, phys: ref.VAddr}
-				w.park(i, key)
+				e.park(i, parEvent{kind: evFault, write: ref.Write, key: key, phys: ref.VAddr})
 				return true
 			}
 			p = uint64(phys)
@@ -900,62 +902,36 @@ func (w *parWorker) stepLocal(i int) (parked bool) {
 		if s.timelineOn && !replay {
 			if next := s.nextEpoch.Load(); next != 0 && c.time[i] >= next {
 				// The step may cross an epoch boundary. The loaded bound
-				// can only lag the true one (the sequencer alone advances
-				// it, at commits that precede this step), so skipping the
+				// can only lag the true one (committers alone advance it,
+				// at commits that precede this step), so skipping the
 				// park is always sound and parking is at worst spurious:
-				// the sequencer re-checks at commit and samples in exact
-				// step order.
-				e.event[i] = parEvent{kind: evEpoch, key: key, stall: stall}
-				w.park(i, key)
+				// the committer re-checks and samples in exact step order.
+				e.park(i, parEvent{kind: evEpoch, key: key, stall: stall})
 				return true
 			}
 		}
 		// Fully local step: retire and publish the advanced clock.
 		c.time[i] += stall
-		w.publish(i, c.time[i])
+		e.pub[i].Store(c.time[i])
 		return false
 	}
-	e.event[i] = parEvent{kind: evWalk, write: write, replay: replay, key: key, phys: p, stall: stall}
-	w.park(i, key)
+	e.park(i, parEvent{kind: evWalk, write: write, replay: replay, key: key, phys: p, stall: stall})
 	return true
 }
 
-// park hands core i to the sequencer. The event (and the step's state
-// written so far) is made visible by the atomic status store; the
-// signal lands after any in-progress sequencer scan holding mu.
-func (w *parWorker) park(i int, key uint64) {
-	e := w.eng
-	e.pub[i].Store(key)
-	e.mu.Lock()
+// park hands core i's event to the committers. Parking takes no lock:
+// the atomic status store publishes the event and the step's state
+// written so far, and pub[i] already equals the event's key.
+func (e *parEngine) park(i int, ev parEvent) {
+	e.event[i] = ev
 	e.status[i].Store(coreParked)
-	e.mu.Unlock()
-	e.seqCond.Signal()
 }
 
-// finish marks core i's budget exhausted for this pass.
+// finish marks core i's budget exhausted for this pass; its pub no
+// longer bounds any commit.
 func (w *parWorker) finish(i int) {
 	e := w.eng
-	e.pub[i].Store(math.MaxUint64)
-	e.mu.Lock()
-	e.status[i].Store(coreDone)
 	e.s.cores.done[i] = true
-	e.nDone++
-	e.mu.Unlock()
-	e.seqCond.Signal()
-}
-
-// publish advances core i's clock lower bound after a fully local step
-// and wakes the sequencer if the new clock crosses its armed watermark.
-func (w *parWorker) publish(i int, clock uint64) {
-	e := w.eng
-	e.pub[i].Store(clock)
-	if e.wmWait.Load() && clock >= e.wmKey.Load() {
-		// Acquiring mu serialises with the sequencer: either it is
-		// inside Wait (the signal wakes it) or it has not yet decided to
-		// wait (its re-scan will see the new pub).
-		e.mu.Lock()
-		e.wmWait.Store(false)
-		e.mu.Unlock()
-		e.seqCond.Signal()
-	}
+	e.pub[i].Store(math.MaxUint64)
+	e.status[i].Store(coreDone)
 }

@@ -96,7 +96,7 @@ type Result struct {
 	Timeline []TimelinePoint
 
 	// Engine reports which execution engine ran the simulation:
-	// EngineParallel when the commit-sequencer engine was active, else
+	// EngineParallel when the parallel engine was active, else
 	// EngineSequential. Every simulation counter above is bit-identical
 	// either way; Engine is run provenance, not a metric.
 	Engine string
@@ -218,8 +218,8 @@ func (s *System) runContext(ctx context.Context, instrPerCore uint64) (*Result, 
 }
 
 // sampleTimeline records a TimelinePoint when the given time crosses
-// the next epoch boundary. Called only from the goroutine that orders
-// step commits (the sequential loop or the parallel sequencer); the
+// the next epoch boundary. Called only by whoever orders step commits
+// (the sequential loop, or the parallel engine's commit-lock holder); the
 // atomic nextEpoch accesses publish the advancing bound to run-ahead
 // workers, which read it to decide whether a local step must park for
 // sampling.
@@ -436,7 +436,7 @@ func (s *System) step(i int) {
 
 // finishStep is the walk-and-memory-system suffix of one step: the
 // cache hierarchy walk followed by applyWalk. The sequential engine
-// calls it from step; the parallel sequencer calls it when committing a
+// calls it from step; the parallel engine calls it when committing a
 // fault event whose page was mapped with no stall (the step then
 // continues exactly as it would have sequentially).
 func (s *System) finishStep(i int, p uint64, write bool) {
@@ -455,7 +455,7 @@ func (s *System) finishStep(i int, p uint64, write bool) {
 // spilled writebacks reserve device occupancy, the walk stall advances
 // the core, and an LLC miss pays the controller's (MLP-divided)
 // latency. It is the shared-state tail of every step — the parallel
-// sequencer commits it for worker-parked walks.
+// engine commits it for worker-parked walks.
 func (s *System) applyWalk(i int, p uint64, walkStall uint64, llcMiss bool, victims []hier.Victim) {
 	c := &s.cores
 	// Dirty victims that spilled past the LLC reach the memory system

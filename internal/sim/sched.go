@@ -49,7 +49,7 @@ func (h *coreHeap) pop() {
 }
 
 // less orders cores by (time, id); the global step order every engine
-// in this package — linear scan, heap, parallel commit sequencer —
+// in this package — linear scan, heap, parallel commit order —
 // agrees on.
 func (h *coreHeap) less(a, b int32) bool {
 	return h.time[a] < h.time[b] || (h.time[a] == h.time[b] && a < b)

@@ -100,11 +100,12 @@ type Options struct {
 	// Workers run ahead through core-private state (reference
 	// generation, mapped-page translation, private cache levels) and
 	// park on shared-phase events (LLC, memory controller, page
-	// faults), which a sequencer commits in the scheduler's global
+	// faults), which the workers commit in the scheduler's global
 	// (time, id) order — so results are bit-identical to the sequential
-	// engine at any thread count (see TestParallelEquivalence). Timeline
-	// sampling and trace capture run under parallelism (the sequencer
-	// samples and flushes captured references in commit order), and a
+	// engine at any thread count (see TestParallelEquivalence). The run
+	// uses exactly Threads goroutines, the caller's included. Timeline
+	// sampling and trace capture run under parallelism (the committing
+	// worker samples and flushes captured references in commit order), and a
 	// possibly-evicting footprint runs in the engine's eviction-safe
 	// mode (page-table generation validation plus a commit fence; see
 	// parallel.go). The engine still falls back to sequential execution
@@ -116,12 +117,14 @@ type Options struct {
 	// run consumes — warm-up included — in consumption order, making
 	// the run recordable (see internal/memtrace.Writer). Begin is
 	// called once during New with the resolved per-core profiles.
-	// Concurrency contract: Emit is invoked only from the goroutine
-	// that sequences step commits, in commit order — under the parallel
-	// engine workers tee references into per-core rings and the
-	// sequencer flushes them in the scheduler's exact order — so
-	// single-goroutine sinks keep working unchanged, and re-capture
-	// stays byte-identical, at any thread count.
+	// Concurrency contract: Emit is never invoked concurrently, and it
+	// is invoked in commit order — under the parallel engine workers tee
+	// references into per-core rings and whichever worker holds the
+	// commit token flushes them in the scheduler's exact order, so
+	// successive calls may come from different goroutines but are
+	// ordered by that token — so single-goroutine sinks keep working
+	// unchanged, and re-capture stays byte-identical, at any thread
+	// count.
 	TraceSink trace.Sink `json:"-"`
 	// Sources supplies pre-built per-core reference streams: core i
 	// runs Sources[i], overriding the synthetic Workload/Mix/Copies
@@ -132,11 +135,11 @@ type Options struct {
 	Sources []trace.Source `json:"-"`
 	// Progress, when non-nil, receives every TimelinePoint as it is
 	// sampled during the measured run (requires TimelineEpochCycles).
-	// Concurrency contract: like TraceSink.Emit it is invoked only from
-	// the goroutine that sequences step commits, in commit order —
-	// under the parallel engine that is the sequencer goroutine, which
-	// samples epochs at the exact step positions the sequential engine
-	// would — so existing single-goroutine callbacks need no locking.
+	// Concurrency contract: like TraceSink.Emit it is never invoked
+	// concurrently and fires in commit order — under the parallel
+	// engine from whichever worker holds the commit token, which samples
+	// epochs at the exact step positions the sequential engine would —
+	// so existing single-goroutine callbacks need no locking.
 	// Long-running or blocking callbacks slow the simulation down.
 	Progress func(TimelinePoint) `json:"-"`
 }
@@ -268,8 +271,8 @@ type System struct {
 
 	// nextEpoch is the next timeline-epoch boundary. Atomic because the
 	// parallel engine's workers read it lock-free to decide whether a
-	// fully-local step must park for sequencer-side sampling; only the
-	// sampling goroutine (sequential loop or sequencer) advances it.
+	// fully-local step must park for commit-side sampling; only the
+	// sampler (sequential loop or commit-lock holder) advances it.
 	nextEpoch atomic.Uint64
 	timeline  []TimelinePoint
 }

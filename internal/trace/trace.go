@@ -105,7 +105,8 @@ type Source interface {
 // and surface from its own close/flush API. Callers guarantee Emit is
 // invoked from a single goroutine at a time, in the simulation's
 // committed step order — sim's parallel engine buffers worker-side
-// references and has its sequencer flush them in that order — so
+// references and the worker holding its commit token flushes them in
+// that order, so successive calls are ordered by that token — and
 // implementations need no locking.
 type Sink interface {
 	Begin(runName string, cores []Profile) error
