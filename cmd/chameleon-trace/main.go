@@ -1,8 +1,12 @@
 // Command chameleon-trace records, inspects and verifies binary
-// memory-reference traces (the internal/memtrace ".ctrace" format).
+// memory-reference traces (the internal/memtrace ".ctrace" format), and
+// dumps synthetic ones as text.
 //
 // Usage:
 //
+//	chameleon-trace gen    -workload mcf -n 1000 [-scale 256] [-seed 1] [-stats]
+//	                       (one "<gap> <vaddr-hex> <R|W>" line per reference,
+//	                       or summary statistics with -stats)
 //	chameleon-trace record -o run.ctrace -policy chameleon -workload bwaves
 //	                       [-mix a,b] [-scale 256] [-instr 500000]
 //	                       [-warmup 4000000] [-seed 42] [-baseline-gb 24]
@@ -18,6 +22,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -34,6 +39,8 @@ func main() {
 	}
 	var err error
 	switch cmd := os.Args[1]; cmd {
+	case "gen":
+		err = gen(os.Args[2:])
 	case "record":
 		err = record(os.Args[2:])
 	case "info", "stats":
@@ -55,15 +62,69 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprint(os.Stderr, `chameleon-trace records, inspects and verifies binary reference traces.
+	fmt.Fprint(os.Stderr, `chameleon-trace generates, records, inspects and verifies memory-reference traces.
 
 Subcommands:
+  gen     print a workload's synthetic reference stream as text
   record  run a workload under a policy and write its trace
   info    print the header and a one-pass summary (alias: stats)
   verify  decode the whole file, checking every block CRC
 
 Run "chameleon-trace <subcommand> -h" for flags.
 `)
+}
+
+// gen dumps the synthetic reference stream of one Table II workload
+// profile, for inspection or for feeding other simulators: one
+// "<gap> <vaddr-hex> <R|W>" line per reference, or summary statistics.
+func gen(args []string) error {
+	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+	var (
+		wlName    = fs.String("workload", "bwaves", "Table II workload name")
+		n         = fs.Uint64("n", 1000, "number of references to emit")
+		scale     = fs.Uint64("scale", 256, "footprint scale divisor")
+		seed      = fs.Uint64("seed", 1, "random seed")
+		statsOnly = fs.Bool("stats", false, "print summary statistics instead of the trace")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	prof, err := chameleon.Workload(*wlName)
+	if err != nil {
+		return err
+	}
+	prof = prof.Scale(*scale)
+	st, err := chameleon.NewTraceStream(prof, *seed)
+	if err != nil {
+		return err
+	}
+	if *statsOnly {
+		var instr, writes, maxAddr uint64
+		for i := uint64(0); i < *n; i++ {
+			r := st.Next()
+			instr += r.Gap
+			if r.Write {
+				writes++
+			}
+			maxAddr = max(maxAddr, r.VAddr)
+		}
+		fmt.Printf("workload      %s (scale %d)\n", prof.Name, *scale)
+		fmt.Printf("references    %d over %d instructions (%.1f refs/KI)\n", *n, instr, float64(*n)/float64(instr)*1000)
+		fmt.Printf("write share   %.1f%%\n", float64(writes)/float64(*n)*100)
+		fmt.Printf("max address   %#x (footprint %#x)\n", maxAddr, prof.FootprintBytes)
+		return nil
+	}
+	w := bufio.NewWriter(os.Stdout)
+	defer w.Flush()
+	for i := uint64(0); i < *n; i++ {
+		r := st.Next()
+		rw := 'R'
+		if r.Write {
+			rw = 'W'
+		}
+		fmt.Fprintf(w, "%d %#x %c\n", r.Gap, r.VAddr, rw)
+	}
+	return nil
 }
 
 // record runs one simulation with a trace sink attached and writes the

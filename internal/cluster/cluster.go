@@ -33,14 +33,12 @@ type Config struct {
 
 // Cluster composes gossip membership with a consistent-hash ring kept
 // in lockstep: whenever the ring-eligible member set changes, the
-// ring is rebuilt and the registered OnChange hook fires (the server
-// uses it to re-enqueue work owned by dead nodes).
+// ring is rebuilt.
 type Cluster struct {
-	cfg      Config
-	mem      *Membership
-	ring     atomic.Pointer[Ring]
-	onChange atomic.Pointer[func()]
-	started  atomic.Bool
+	cfg     Config
+	mem     *Membership
+	ring    atomic.Pointer[Ring]
+	started atomic.Bool
 }
 
 // New builds a cluster view of one node plus its seed peers. No
@@ -65,8 +63,7 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// rebuild recomputes the ring from the current ring-eligible members
-// and notifies the server hook.
+// rebuild recomputes the ring from the current ring-eligible members.
 func (c *Cluster) rebuild() {
 	members := c.mem.RingMembers()
 	ids := make([]string, len(members))
@@ -74,13 +71,7 @@ func (c *Cluster) rebuild() {
 		ids[i] = n.ID
 	}
 	c.ring.Store(NewRing(c.cfg.VirtualNodes, ids))
-	if fn := c.onChange.Load(); fn != nil {
-		(*fn)()
-	}
 }
-
-// SetOnChange registers a hook fired after every ring rebuild.
-func (c *Cluster) SetOnChange(fn func()) { c.onChange.Store(&fn) }
 
 // Self returns the local node's identity.
 func (c *Cluster) Self() Node { return c.mem.Self() }

@@ -126,6 +126,36 @@ func TestExpandDeterministicDenseAndTierSkip(t *testing.T) {
 	}
 }
 
+// TestCellCountMatchesExpand: the count that bounds a sweep before
+// expansion agrees with Expand, tier-depth skips included, and
+// saturates instead of overflowing.
+func TestCellCountMatchesExpand(t *testing.T) {
+	twoTier := config.Default(256).MemoryTiers
+	threeTier := config.Default(256).WithNVMTier(64 << 20).MemoryTiers
+	for _, s := range []Spec{
+		{},
+		{Policies: []string{"chameleon", "hwc"}, Seeds: []uint64{1, 2}, Ratios: []int{0, 3},
+			MemoryTierVariants: [][]config.MemTierConfig{twoTier, threeTier}},
+		{Workloads: []string{"mcf"}, Scales: []uint64{256, 512},
+			CacheLevelVariants: [][]config.CacheLevelConfig{config.Default(256).CacheLevels}},
+	} {
+		n, err := s.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells, err := n.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := n.CellCount(); got != len(cells) {
+			t.Errorf("CellCount = %d, Expand built %d cells", got, len(cells))
+		}
+	}
+	if satMul(math.MaxInt/2, 3) != math.MaxInt {
+		t.Error("satMul overflowed instead of saturating")
+	}
+}
+
 func TestExpandEmptySweepError(t *testing.T) {
 	twoTier := config.Default(256).MemoryTiers
 	s := Spec{

@@ -19,6 +19,7 @@ package dse
 
 import (
 	"fmt"
+	"math"
 
 	"chameleon/internal/config"
 	"chameleon/internal/policy"
@@ -250,6 +251,37 @@ func (s Spec) tierCount(tv int) int {
 		return 2
 	}
 	return len(s.MemoryTierVariants[tv])
+}
+
+// CellCount returns how many cells Expand would produce without
+// building them, saturating at math.MaxInt, so a caller can bound a
+// sweep before expanding it: a few kilobytes of axis values can name
+// billions of cells. Call on a normalized spec.
+func (s Spec) CellCount() int {
+	perPolicy := 1 // cells per compatible (tier variant, policy) pair
+	for _, n := range []int{max(len(s.CacheLevelVariants), 1), len(s.Workloads), len(s.Ratios), len(s.Scales), len(s.Seeds)} {
+		perPolicy = satMul(perPolicy, n)
+	}
+	total := 0
+	for _, tv := range variantIndices(len(s.MemoryTierVariants)) {
+		for _, pol := range s.Policies {
+			if desc, err := policy.Lookup(pol); err == nil && desc.RequiredTiers() <= s.tierCount(tv) {
+				if total > math.MaxInt-perPolicy {
+					return math.MaxInt
+				}
+				total += perPolicy
+			}
+		}
+	}
+	return total
+}
+
+// satMul multiplies non-negative ints, saturating at math.MaxInt.
+func satMul(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
 }
 
 // Expand enumerates the sweep's cells in a fixed, documented order:

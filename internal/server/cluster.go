@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,145 +16,193 @@ import (
 // reachable.
 const replication = 2
 
-// peerCallTimeout bounds one peer HTTP round-trip (status polls,
-// cache lookups, claims). Forwards share it: a forward that cannot
-// reach the owner quickly falls back to running locally.
+// peerCallTimeout bounds one peer HTTP round-trip (forwards, status
+// polls, cache lookups, steal requests). A forward that cannot reach
+// its target quickly falls back to running locally.
 const peerCallTimeout = 5 * time.Second
 
-// --- routing: forward a submit to the ring owner ----------------------
+// awaitPoll is the status-poll period for a job executing on a peer.
+// It bounds how late a client sees the job end. On a 2-vCPU Xeon a
+// poll costs about 0.13 ms of CPU (client and server together), so
+// five a second cost about 0.06% of a core per remote job, next to the
+// full core the job itself runs on. Backing off to 1 s would save
+// little of that and would make a 2.5 s job end about 0.5 s late.
+const awaitPoll = 200 * time.Millisecond
 
-// forward proxies a normalized submission to the first reachable
-// owner and returns a local mirror job tracking the remote execution.
-// ok=false means no owner was reachable and the caller should run the
-// job locally.
-func (s *Server) forward(norm JobSpec, hash string, now time.Time, owners []cluster.Node) (*Job, bool) {
-	self := s.selfID()
-	for _, owner := range owners {
-		if owner.ID == self || !s.cl.Alive(owner.ID) {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
-		var remote JobStatus
-		err := cluster.DoJSONHeader(ctx, s.cl.HTTPClient(), http.MethodPost,
-			owner.Addr+"/v1/jobs", map[string]string{cluster.ForwardedHeader: self}, norm, &remote)
-		cancel()
-		if err != nil {
-			s.cl.Membership().MarkFailed(owner.ID)
-			continue
-		}
-		s.metrics.JobsForwarded.Add(1)
-		j := s.store.NewJob(norm, now)
-		if !j.markRemote(owner.ID, owner.Addr, remote.ID, now) {
-			return j, true // raced terminal; nothing else to do
-		}
-		if remote.State.Terminal() {
-			// The owner served it from cache (or failed fast): resolve
-			// the mirror immediately so the caller gets a finished job.
-			s.resolveRemote(j, remote)
-		}
-		return j, true
-	}
-	return nil, false
+// errPeerDead reports that the node executing a job was declared dead
+// (or no longer knows the job) before the job finished.
+var errPeerDead = errors.New("executing node is gone")
+
+// remoteError is a job that ended failed or canceled on the node that
+// executed it.
+type remoteError struct {
+	State JobState
+	Msg   string
 }
 
-// resolveRemote applies a terminal remote status to a local mirror,
-// fetching result bytes for done jobs. A failed fetch leaves the
-// mirror in StateRemote for the next poll.
-func (s *Server) resolveRemote(j *Job, st JobStatus) {
-	now := time.Now()
-	switch st.State {
-	case StateDone:
-		_, addr, rid := j.remoteRef()
-		ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
-		b, ok, err := cluster.GetBytes(ctx, s.cl.HTTPClient(), addr+"/v1/jobs/"+rid+"/result")
-		cancel()
-		if err != nil || !ok {
-			return
-		}
-		s.cache.Put(j.Hash, b)
-		if j.finishFromPeer(StateDone, b, "", st.Cached, now) {
-			s.metrics.JobsRemoteDone.Add(1)
-		}
-	case StateFailed, StateCanceled:
-		j.finishFromPeer(st.State, nil, st.Error, false, now)
-	}
-}
+func (e *remoteError) Error() string { return fmt.Sprintf("remote job %s: %s", e.State, e.Msg) }
 
-// pollRemotes refreshes every remote mirror from its owner: progress
-// while running, result bytes once done. Unreachable owners are
-// reported to the failure detector; the mirror stays remote until the
-// owner is declared dead (then sweepDead re-enqueues it locally).
-func (s *Server) pollRemotes() {
-	for _, j := range s.store.Snapshot() {
-		if j.State() != StateRemote {
-			continue
-		}
-		node, addr, rid := j.remoteRef()
-		if node == "" {
-			continue
-		}
-		if !s.cl.Alive(node) {
-			s.reenqueueLocal(j)
-			continue
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
-		var st JobStatus
-		err := cluster.DoJSON(ctx, s.cl.HTTPClient(), http.MethodGet, addr+"/v1/jobs/"+rid, nil, &st)
-		cancel()
-		if err != nil {
-			s.cl.Membership().MarkFailed(node)
-			continue
-		}
-		if st.State.Terminal() {
-			s.resolveRemote(j, st)
-		} else {
-			j.setProgress(st.Progress)
-		}
-	}
-}
+// --- the one remote-execution primitive ------------------------------
+//
+// Every job that runs on another node — a submit forwarded to its ring
+// owner, a queued job handed to an idle peer, a DSE cell sharded to its
+// owner — is posted with forwardTo and waited on with awaitRemote.
 
-// sweepDead re-enqueues work stranded on dead nodes: remote mirrors
-// whose owner died, and claimed jobs whose thief died. Exactly-once
-// still holds — revertToQueued only fires from remote/claimed, and a
-// late completion report for a re-run job lands on a terminal (or
-// re-owned) job and is dropped.
-func (s *Server) sweepDead() {
-	if s.cl == nil {
-		return
-	}
-	for _, j := range s.store.Snapshot() {
-		switch j.State() {
-		case StateRemote, StateClaimed:
-			node, _, _ := j.remoteRef()
-			if node != "" && !s.cl.Alive(node) {
-				s.reenqueueLocal(j)
-			}
-		}
-	}
-}
-
-// reenqueueLocal returns a job stranded on a dead node to the local
-// worker pool.
-func (s *Server) reenqueueLocal(j *Job) {
-	if !j.revertToQueued(time.Now()) {
-		return
-	}
-	if err := s.pool.Submit(j); err != nil {
-		if j.finish(StateFailed, nil, fmt.Errorf("re-enqueue after node death: %w", err), time.Now()) {
-			s.metrics.JobsFailed.Add(1)
-		}
-		return
-	}
-	s.metrics.JobsQueued.Add(1)
-	s.metrics.JobsReenqueued.Add(1)
-}
-
-// cancelRemote best-effort propagates a mirror cancellation to the
-// owner so the remote execution stops burning a worker.
-func (s *Server) cancelRemote(addr, rid string) {
+// forwardTo posts a normalized spec to node's job API. The forwarded
+// header makes node serve it locally (single hop). It returns node's
+// job ID.
+func (s *Server) forwardTo(node cluster.Node, spec JobSpec) (string, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
 	defer cancel()
-	_ = cluster.DoJSON(ctx, s.cl.HTTPClient(), http.MethodDelete, addr+"/v1/jobs/"+rid, nil, nil)
+	var st JobStatus
+	err := cluster.DoJSONHeader(ctx, s.cl.HTTPClient(), http.MethodPost, node.Addr+"/v1/jobs",
+		map[string]string{cluster.ForwardedHeader: s.selfID()}, spec, &st)
+	if err != nil {
+		s.peerFailed(node, err)
+		return "", err
+	}
+	return st.ID, nil
+}
+
+// awaitRemote polls job rid on node until it ends. It
+// mirrors progress into onProgress (if set) and returns the result
+// bytes of a done job and whether node served it from cache. It fails
+// with errPeerDead once the failure detector declares node dead, with
+// a *remoteError if the job failed or was canceled there, and with
+// ctx's error after telling node to cancel the job when ctx ends.
+func (s *Server) awaitRemote(ctx context.Context, node cluster.Node, rid string, onProgress func(Progress)) ([]byte, bool, error) {
+	url := node.Addr + "/v1/jobs/" + rid
+	for {
+		if ctx.Err() == nil && !s.cl.Alive(node.ID) {
+			return nil, false, errPeerDead
+		}
+		var st JobStatus
+		cctx, cancel := context.WithTimeout(ctx, peerCallTimeout)
+		err := cluster.DoJSON(cctx, s.cl.HTTPClient(), http.MethodGet, url, nil, &st)
+		cancel()
+		var pe *cluster.PeerError
+		switch {
+		case ctx.Err() != nil:
+			// The wait below sees it and cancels the copy on node.
+		case errors.As(err, &pe) && pe.Status == http.StatusNotFound:
+			// node restarted and lost the job: it will never finish there.
+			return nil, false, errPeerDead
+		case err != nil:
+			s.peerFailed(node, err)
+		case st.State == StateDone:
+			cctx, cancel := context.WithTimeout(ctx, peerCallTimeout)
+			b, ok, err := cluster.GetBytes(cctx, s.cl.HTTPClient(), url+"/result")
+			cancel()
+			if err == nil && ok {
+				return b, st.Cached, nil
+			}
+		case st.State.Terminal():
+			return nil, false, &remoteError{State: st.State, Msg: st.Error}
+		case onProgress != nil:
+			onProgress(st.Progress)
+		}
+		select {
+		case <-ctx.Done():
+			s.cancelRemote(node, rid)
+			return nil, false, ctx.Err()
+		case <-time.After(awaitPoll):
+		}
+	}
+}
+
+// cancelRemote best-effort cancels job rid on node, so an abandoned
+// remote execution stops burning a worker there.
+func (s *Server) cancelRemote(node cluster.Node, rid string) {
+	ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
+	defer cancel()
+	_ = cluster.DoJSON(ctx, s.cl.HTTPClient(), http.MethodDelete, node.Addr+"/v1/jobs/"+rid, nil, nil)
+}
+
+// peerFailed reports a failed call to the failure detector. A peer
+// that answered with an HTTP error is reachable, so only transport
+// failures count.
+func (s *Server) peerFailed(node cluster.Node, err error) {
+	var pe *cluster.PeerError
+	if !errors.As(err, &pe) {
+		s.cl.Membership().MarkFailed(node.ID)
+	}
+}
+
+// handOff runs a queued job on node: the queued → remote CAS (so the
+// job runs exactly once), a forward, then one mirror goroutine that
+// awaits the remote execution. It returns false, with j back in the
+// queued state unless it was canceled meanwhile, if the CAS or the
+// forward fails.
+func (s *Server) handOff(j *Job, node cluster.Node) bool {
+	ctx, stop := context.WithCancel(s.baseCtx)
+	if !j.markRemote(node.ID, node.Addr, time.Now(), stop) {
+		stop()
+		return false
+	}
+	rid, err := s.forwardTo(node, j.Spec)
+	if err != nil {
+		stop()
+		if j.revertToQueued() {
+			j.setNode(s.selfID())
+		}
+		return false
+	}
+	j.setRemoteID(rid)
+	// A cancel that landed during the forward has already ended ctx;
+	// the mirror's first step then cancels the copy on node.
+	s.mirrorMu.Lock()
+	live := !s.mirrorsOff
+	if live {
+		s.mirrors.Add(1)
+	}
+	s.mirrorMu.Unlock()
+	if !live {
+		// Shutdown is already waiting: cancel the copy just made.
+		stop()
+		s.mirror(ctx, j, node, rid)
+		return true
+	}
+	go func() {
+		defer s.mirrors.Done()
+		defer stop()
+		s.mirror(ctx, j, node, rid)
+	}()
+	return true
+}
+
+// mirror drives a remote job to its end: it mirrors the executing
+// node's progress and outcome, and returns the job to the local pool
+// if that node dies.
+func (s *Server) mirror(ctx context.Context, j *Job, node cluster.Node, rid string) {
+	b, cached, err := s.awaitRemote(ctx, node, rid, j.setProgress)
+	now := time.Now()
+	var re *remoteError
+	switch {
+	case err == nil:
+		s.cache.Put(j.Hash, b)
+		j.finishFromPeer(StateDone, b, "", cached, now)
+	case errors.Is(err, errPeerDead):
+		s.reenqueueLocal(j)
+	case errors.As(err, &re):
+		j.finishFromPeer(re.State, nil, re.Msg, false, now)
+	default:
+		// Canceled locally (Cancel already ended the job) or cut by
+		// Shutdown after its grace period.
+		j.finish(StateCanceled, nil, err, now)
+	}
+}
+
+// reenqueueLocal returns a remote job whose executing node died to the
+// local worker pool. A stolen job whose first pool entry still waits
+// is started by that entry.
+func (s *Server) reenqueueLocal(j *Job) {
+	if !j.revertToQueued() {
+		return
+	}
+	j.setNode(s.selfID())
+	if s.enqueue(j) == nil {
+		s.metrics.JobsReenqueued.Add(1)
+	}
 }
 
 // --- cluster-wide result cache ----------------------------------------
@@ -172,7 +219,7 @@ func (s *Server) peerCacheGet(hash string, owners []cluster.Node) ([]byte, bool)
 		b, ok, err := cluster.GetBytes(ctx, s.cl.HTTPClient(), o.Addr+cluster.CachePath+hash)
 		cancel()
 		if err != nil {
-			s.cl.Membership().MarkFailed(o.ID)
+			s.peerFailed(o, err)
 			continue
 		}
 		if ok {
@@ -195,37 +242,24 @@ func (s *Server) writeBackResult(hash string, b []byte) {
 		err := cluster.PutBytes(ctx, s.cl.HTTPClient(), o.Addr+cluster.CachePath+hash, b)
 		cancel()
 		if err != nil {
-			s.cl.Membership().MarkFailed(o.ID)
+			s.peerFailed(o, err)
 		}
 	}
 }
 
-// --- work stealing ----------------------------------------------------
+// --- work stealing: a hand-off to an idle node ----------------------
 
-// stealableJob is one queued job offered to idle peers.
-type stealableJob struct {
-	ID   string  `json:"id"`
-	Hash string  `json:"hash"`
-	Spec JobSpec `json:"spec"`
+// stealRequest asks a loaded node to hand up to Max queued jobs to the
+// idle node By. The loaded node reaches By at the address its own
+// membership view holds.
+type stealRequest struct {
+	By  string `json:"by"`
+	Max int    `json:"max"`
 }
 
-type claimRequest struct {
-	ID   string `json:"id"`
-	By   string `json:"by"`
-	Addr string `json:"addr"`
-}
-
-type claimResponse struct {
-	OK   bool    `json:"ok"`
-	Spec JobSpec `json:"spec,omitempty"`
-}
-
-type completeRequest struct {
-	ID      string          `json:"id"`
-	By      string          `json:"by"`
-	Result  json.RawMessage `json:"result,omitempty"`
-	Error   string          `json:"error,omitempty"`
-	Requeue bool            `json:"requeue,omitempty"`
+// stealResponse reports how many jobs the loaded node handed off.
+type stealResponse struct {
+	Handed int `json:"handed"`
 }
 
 // idleCapacity returns how many more jobs this node could run right
@@ -238,18 +272,15 @@ func (s *Server) idleCapacity() int {
 	return int(free)
 }
 
-// stealOnce scans peers for queued work when this node is idle,
-// claims jobs one at a time (the claim is CAS-guarded in the owner's
-// jobstore, so a job runs exactly once cluster-wide), runs them
-// locally, and reports results back to the owner.
+// stealOnce asks each live peer, while this node is idle, to hand it
+// queued work. The peer forwards each job here as an ordinary
+// forwarded submit and mirrors it, so a stolen job is owned and
+// tracked by the node it was submitted to.
 func (s *Server) stealOnce() {
 	if s.cl == nil || s.draining.Load() {
 		return
 	}
 	budget := s.idleCapacity()
-	if budget <= 0 {
-		return
-	}
 	self := s.cl.Self()
 	for _, peer := range s.cl.Members() {
 		if budget <= 0 {
@@ -259,115 +290,22 @@ func (s *Server) stealOnce() {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
-		var queued []stealableJob
-		err := cluster.DoJSON(ctx, s.cl.HTTPClient(), http.MethodGet, peer.Addr+cluster.QueuePath, nil, &queued)
+		var resp stealResponse
+		err := cluster.DoJSON(ctx, s.cl.HTTPClient(), http.MethodPost, peer.Addr+cluster.StealPath,
+			stealRequest{By: self.ID, Max: budget}, &resp)
 		cancel()
 		if err != nil {
-			s.cl.Membership().MarkFailed(peer.ID)
+			s.peerFailed(peer, err)
 			continue
 		}
-		for _, sj := range queued {
-			if budget <= 0 {
-				return
-			}
-			if s.stealJob(peer, sj) {
-				budget--
-			}
-		}
+		s.metrics.JobsStolen.Add(int64(resp.Handed))
+		budget -= resp.Handed
 	}
 }
 
-// stealJob claims one queued job from a peer and runs it locally.
-func (s *Server) stealJob(peer cluster.Node, sj stealableJob) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
-	defer cancel()
-	var cr claimResponse
-	err := cluster.DoJSON(ctx, s.cl.HTTPClient(), http.MethodPost, peer.Addr+cluster.ClaimPath,
-		claimRequest{ID: sj.ID, By: s.selfID(), Addr: s.cl.Self().Addr}, &cr)
-	if err != nil || !cr.OK {
-		return false
-	}
-	norm, err := cr.Spec.Normalize()
-	if err != nil {
-		// The spec ran Normalize on the owner already; a failure here
-		// means an incompatible peer. Give the job back.
-		s.reportComplete(originRef{NodeID: peer.ID, Addr: peer.Addr, ID: sj.ID},
-			completeRequest{ID: sj.ID, By: s.selfID(), Requeue: true})
-		return false
-	}
-	s.metrics.JobsStolen.Add(1)
-	now := time.Now()
-	j := s.store.NewJob(norm, now)
-	j.setNode(s.selfID())
-	j.setOrigin(peer.ID, peer.Addr, sj.ID)
-	if err := s.pool.Submit(j); err != nil {
-		j.finish(StateFailed, nil, err, time.Now())
-		// We cannot run it after all; let the owner re-queue it.
-		s.reportComplete(originRef{NodeID: peer.ID, Addr: peer.Addr, ID: sj.ID},
-			completeRequest{ID: sj.ID, By: s.selfID(), Requeue: true})
-		return false
-	}
-	s.metrics.JobsQueued.Add(1)
-	return true
-}
-
-// reportToOrigin posts a stolen job's outcome back to the victim
-// node, if this job was stolen. Called from runJob on every outcome.
-func (s *Server) reportToOrigin(j *Job, result []byte, runErr error) {
-	og, ok := j.Origin()
-	if !ok {
-		return
-	}
-	req := completeRequest{ID: og.ID, By: s.selfID(), Result: result}
-	if runErr != nil {
-		req.Error = runErr.Error()
-	}
-	go s.reportComplete(og, req)
-}
-
-// reportComplete delivers one completion report with retries; the
-// owner's dead-thief sweep covers the case where every attempt fails.
-func (s *Server) reportComplete(og originRef, req completeRequest) {
-	for attempt := 0; attempt < 3; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), peerCallTimeout)
-		err := cluster.DoJSON(ctx, s.cl.HTTPClient(), http.MethodPost, og.Addr+cluster.CompletePath, req, nil)
-		cancel()
-		if err == nil {
-			return
-		}
-		var pe *cluster.PeerError
-		if errors.As(err, &pe) {
-			return // the owner saw the report and rejected it (job gone/terminal)
-		}
-		select {
-		case <-s.stop:
-			return
-		case <-time.After(time.Duration(attempt+1) * 100 * time.Millisecond):
-		}
-	}
-	s.cl.Membership().MarkFailed(og.NodeID)
-}
-
-// --- background loops and diagnostics ---------------------------------
-
-// startClusterLoops runs the mirror-poll/death-sweep loop and the
-// work-stealing loop until Shutdown.
+// startClusterLoops runs the work-stealing loop until Shutdown.
 func (s *Server) startClusterLoops() {
-	s.loopWG.Add(2)
-	go func() {
-		defer s.loopWG.Done()
-		t := time.NewTicker(s.opts.RemotePoll)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-t.C:
-				s.pollRemotes()
-				s.sweepDead()
-			}
-		}
-	}()
+	s.loopWG.Add(1)
 	go func() {
 		defer s.loopWG.Done()
 		t := time.NewTicker(s.opts.StealInterval)
@@ -414,9 +352,7 @@ func (s *Server) registerClusterRoutes(mux *http.ServeMux) {
 	mux.HandleFunc("GET "+cluster.MembersPath, s.handleMembers)
 	mux.HandleFunc("GET "+cluster.CachePath+"{hash}", s.handleCacheGet)
 	mux.HandleFunc("PUT "+cluster.CachePath+"{hash}", s.handleCachePut)
-	mux.HandleFunc("GET "+cluster.QueuePath, s.handleQueue)
-	mux.HandleFunc("POST "+cluster.ClaimPath, s.handleClaim)
-	mux.HandleFunc("POST "+cluster.CompletePath, s.handleComplete)
+	mux.HandleFunc("POST "+cluster.StealPath, s.handleSteal)
 }
 
 func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
@@ -459,64 +395,53 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleQueue(w http.ResponseWriter, _ *http.Request) {
-	var out []stealableJob
-	if !s.draining.Load() {
-		for _, j := range s.store.Snapshot() {
-			// Trace replays read a node-local file; they cannot move.
-			if j.State() == StateQueued && j.Spec.TracePath == "" {
-				out = append(out, stealableJob{ID: j.ID, Hash: j.Hash, Spec: j.Spec})
-			}
-		}
-	}
-	cluster.WriteJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
-	var req claimRequest
+// handleSteal hands queued jobs to the idle node that asked: at most
+// req.Max, and no more than wait here beyond the local workers. It
+// hands off from the back of the queue, since free local workers take
+// the front next. Only a node this one considers alive gets work: a
+// mirror gives up on a node it does not know. Trace replays read a
+// node-local file, so they never move; a job whose submit is still
+// routing it has no pool entry yet and is not eligible either.
+func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
+	var req stealRequest
 	if err := cluster.ReadJSON(w, r, &req, 1<<20); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	j, ok := s.store.Get(req.ID)
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown job "+req.ID))
-		return
-	}
-	if req.By == "" || j.Spec.TracePath != "" || !j.tryClaim(req.By, req.Addr, time.Now()) {
-		cluster.WriteJSON(w, http.StatusOK, claimResponse{OK: false})
-		return
-	}
-	s.metrics.JobsStolenAway.Add(1)
-	cluster.WriteJSON(w, http.StatusOK, claimResponse{OK: true, Spec: j.Spec})
-}
-
-func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req completeRequest
-	if err := cluster.ReadJSON(w, r, &req, 64<<20); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	j, ok := s.store.Get(req.ID)
-	if !ok {
-		writeError(w, http.StatusNotFound, errors.New("unknown job "+req.ID))
-		return
-	}
-	now := time.Now()
-	switch {
-	case req.Requeue:
-		s.reenqueueLocal(j)
-	case req.Error != "":
-		if j.finishFromPeer(StateFailed, nil, req.Error, false, now) {
-			s.metrics.JobsFailed.Add(1)
+	handed := 0
+	thief, known := s.cl.Membership().Lookup(req.By)
+	if !s.draining.Load() && known && req.By != s.selfID() && s.cl.Alive(req.By) {
+		var queued []*Job
+		running := 0
+		for _, j := range s.store.Snapshot() {
+			switch state, pooled := j.poolState(); {
+			case state == StateRunning:
+				running++
+			case state == StateQueued && pooled:
+				queued = append(queued, j)
+			}
 		}
-	default:
-		s.cache.Put(j.Hash, req.Result)
-		if j.finishFromPeer(StateDone, req.Result, "", false, now) {
-			s.metrics.JobsRemoteDone.Add(1)
+		limit := min(req.Max, len(queued)+running-s.opts.Workers)
+		for i := len(queued) - 1; i >= 0 && handed < limit; i-- {
+			j := queued[i]
+			if j.Spec.TracePath != "" {
+				continue
+			}
+			if !s.handOff(j, thief) {
+				if j.State() == StateQueued {
+					// The forward failed after the CAS. The job's pool
+					// entry still starts it, unless a worker skipped the
+					// entry meanwhile; then it needs a new one.
+					_ = s.enqueue(j)
+					break
+				}
+				continue // a worker or a canceling client won the CAS
+			}
+			handed++
+			s.metrics.JobsStolenAway.Add(1)
 		}
 	}
-	w.WriteHeader(http.StatusNoContent)
+	cluster.WriteJSON(w, http.StatusOK, stealResponse{Handed: handed})
 }
 
 // readAllLimited reads a bounded request body.

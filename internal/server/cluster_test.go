@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -42,7 +43,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 const testSuspicion = 100 * time.Millisecond
 
 // clusterNode is one in-process chamd node: real HTTP (httptest), real
-// worker pool, manual cluster loops.
+// worker pool, manual work stealing.
 type clusterNode struct {
 	id   string
 	s    *Server
@@ -52,8 +53,8 @@ type clusterNode struct {
 }
 
 // newServerCluster builds n nodes, each seeded with node 0, with the
-// background cluster loops disabled (tests call pollRemotes /
-// sweepDead / stealOnce / GossipOnce / Tick at deterministic points).
+// background steal loop disabled (tests call stealOnce / GossipOnce /
+// Tick at deterministic points).
 func newServerCluster(t *testing.T, n int, clock *fakeClock, workers func(i int) int) []*clusterNode {
 	t.Helper()
 	nodes := make([]*clusterNode, n)
@@ -138,22 +139,6 @@ func findSpec(t *testing.T, cl *cluster.Cluster, base func(uint64) JobSpec, pred
 	return JobSpec{}
 }
 
-// driveUntilTerminal pumps a node's remote-mirror poll until j ends.
-func driveUntilTerminal(t *testing.T, nd *clusterNode, j *Job, timeout time.Duration) JobStatus {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		nd.s.pollRemotes()
-		nd.s.sweepDead()
-		if j.State().Terminal() {
-			return j.Status()
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("job %s not terminal after %s (state %s)", j.ID, timeout, j.State())
-	return JobStatus{}
-}
-
 func sumJobsDone(nodes []*clusterNode) int64 {
 	var n int64
 	for _, nd := range nodes {
@@ -184,7 +169,7 @@ func TestClusterExactlyOnceWithPeerCache(t *testing.T) {
 	if got := b.s.Metrics().JobsForwarded.Value(); got != 1 {
 		t.Fatalf("b forwarded %d jobs, want 1", got)
 	}
-	st := driveUntilTerminal(t, b, jb, 30*time.Second)
+	st := waitTerminal(t, jb, 30*time.Second)
 	if st.State != StateDone || st.Node != a.id {
 		t.Fatalf("mirror = %s on %q (err %q), want done on %s", st.State, st.Node, st.Error, a.id)
 	}
@@ -192,13 +177,13 @@ func TestClusterExactlyOnceWithPeerCache(t *testing.T) {
 		t.Fatal("first execution must not be served from cache")
 	}
 
-	// Same spec via the other non-owner c: a answers from its cache, the
-	// forward resolves synchronously, and nothing simulates again.
+	// Same spec via the replica c: a answers from its cache and
+	// nothing simulates again.
 	jc, err := c.s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = driveUntilTerminal(t, c, jc, 10*time.Second)
+	st = waitTerminal(t, jc, 10*time.Second)
 	if st.State != StateDone || !st.Cached {
 		t.Fatalf("second submission: state=%s cached=%v, want done from cache", st.State, st.Cached)
 	}
@@ -297,8 +282,8 @@ func TestClusterNodeDeathReenqueues(t *testing.T) {
 		}
 	}
 
-	// a's sweep notices the dead owner and re-runs the job locally.
-	st := driveUntilTerminal(t, a, ja, 30*time.Second)
+	// a's mirror notices the dead owner and re-runs the job locally.
+	st := waitTerminal(t, ja, 30*time.Second)
 	if st.State != StateDone {
 		t.Fatalf("re-enqueued job = %s (err %q), want done", st.State, st.Error)
 	}
@@ -310,8 +295,8 @@ func TestClusterNodeDeathReenqueues(t *testing.T) {
 	}
 }
 
-// TestClusterWorkStealing: an idle node claims queued work from a
-// loaded peer, runs it, and reports the result back; the claim CAS
+// TestClusterWorkStealing: an idle node asks a loaded peer for work,
+// the peer hands its queued job over and mirrors it; the hand-off CAS
 // means the job runs exactly once.
 func TestClusterWorkStealing(t *testing.T) {
 	clock := newFakeClock()
@@ -343,7 +328,7 @@ func TestClusterWorkStealing(t *testing.T) {
 		t.Fatalf("job state = %s, want queued behind the wedge", jq.State())
 	}
 
-	// Idle b scans for work and claims it.
+	// Idle b asks for work and is handed the queued job.
 	b.s.stealOnce()
 	if got := b.s.Metrics().JobsStolen.Value(); got != 1 {
 		t.Fatalf("b stole %d jobs, want 1", got)
@@ -352,7 +337,7 @@ func TestClusterWorkStealing(t *testing.T) {
 		t.Fatalf("a lost %d jobs to thieves, want 1", got)
 	}
 
-	// The victim's job completes via b's completion report.
+	// The victim's job completes through its mirror of b's copy.
 	st := waitTerminal(t, jq, 30*time.Second)
 	if st.State != StateDone {
 		t.Fatalf("stolen job = %s (err %q), want done", st.State, st.Error)
@@ -401,5 +386,202 @@ func TestClusterForwardLoopGuard(t *testing.T) {
 	}
 	if got := b.s.Metrics().JobsForwarded.Value(); got != 0 {
 		t.Fatalf("b forwarded %d jobs, want 0", got)
+	}
+}
+
+// TestShutdownWaitsForMirrors: Shutdown gives a remote job the same
+// grace as a running one, then cuts it, which cancels the copy on the
+// executing node, and returns only after the mirror goroutine exited.
+func TestShutdownWaitsForMirrors(t *testing.T) {
+	clock := newFakeClock()
+	nodes := newServerCluster(t, 3, clock, nil)
+	converge(t, nodes)
+	b := nodes[1]
+	spec := findSpec(t, b.cl, slowSpec, func(owners []string) bool {
+		return owners[0] != b.id && owners[1] != b.id
+	})
+	j, err := b.s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := j.Status()
+	if st.State != StateRemote {
+		t.Fatalf("state = %s, want remote", st.State)
+	}
+	var owner *clusterNode
+	for _, nd := range nodes {
+		if nd.id == st.Node {
+			owner = nd
+		}
+	}
+	remote, ok := owner.s.Job(st.RemoteID)
+	if !ok {
+		t.Fatalf("owner %s has no job %s", st.Node, st.RemoteID)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if err := b.s.Shutdown(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("Shutdown = %v, want the grace period to run out", err)
+	}
+	if got := j.State(); got != StateCanceled {
+		t.Fatalf("mirror after Shutdown = %s, want canceled", got)
+	}
+	if got := waitTerminal(t, remote, 10*time.Second).State; got != StateCanceled {
+		t.Fatalf("owner's copy = %s, want canceled", got)
+	}
+	for _, g := range serverGoroutines() {
+		if strings.Contains(g, "(*Server).awaitRemote(") || strings.Contains(g, "(*Server).mirror(") {
+			t.Fatalf("mirror goroutine outlived Shutdown:\n%s", g)
+		}
+	}
+}
+
+// TestCanceledCountsEachJobOnce: jobs_canceled counts jobs that ended
+// canceled, not dequeues. A job that came back from a peer while its
+// first pool entry still waited runs once, from that entry, and its
+// return is no cancel.
+func TestCanceledCountsEachJobOnce(t *testing.T) {
+	s := newTestServer(t, Options{Workers: 1})
+	wedge, err := s.Submit(slowSpec(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for wedge.State() != StateRunning {
+		time.Sleep(time.Millisecond)
+	}
+	q, err := s.Submit(fastSpec(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hand q to a peer, which then dies while q's entry still waits.
+	if !q.markRemote("thief", "http://thief", time.Now(), func() {}) {
+		t.Fatal("hand-off CAS lost")
+	}
+	s.reenqueueLocal(q)
+	if ok, _ := s.Cancel(wedge.ID); !ok {
+		t.Fatal("cancel of the wedge had no effect")
+	}
+	if st := waitTerminal(t, q, 30*time.Second); st.State != StateDone {
+		t.Fatalf("q = %s (err %q), want done", st.State, st.Error)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Metrics().JobsQueued.Value() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	canceled := 0
+	for _, st := range s.Jobs() {
+		if st.State == StateCanceled {
+			canceled++
+		}
+	}
+	m := s.Metrics()
+	if m.JobsCanceled.Value() != int64(canceled) || canceled != 1 || m.JobsDone.Value() != 1 {
+		t.Fatalf("jobs_canceled=%d for %d canceled jobs, jobs_done=%d; want 1, 1, 1",
+			m.JobsCanceled.Value(), canceled, m.JobsDone.Value())
+	}
+}
+
+// TestCancelDuringRoutingThenPeerCacheHit: a client cancels a job
+// while its submit is still routing it (the forward to the owner is
+// parked), the forward then fails and the replica's cache holds the
+// result. The job stays canceled; the cache hit must not end it a
+// second time.
+func TestCancelDuringRoutingThenPeerCacheHit(t *testing.T) {
+	cc := newContractCluster(t, contractScenario{})
+	a, b, c := cc.nodes[0], cc.nodes[1], cc.nodes[2]
+	spec := findSpec(t, b.cl, fastSpec, func(owners []string) bool {
+		return owners[0] == a.id && owners[1] == c.id
+	})
+	norm, err := spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.s.cache.Put(norm.Hash(), []byte(`{}`))
+	cc.gate.fail.Store(true)
+	cc.gate.armed.Store(true)
+	type submitted struct {
+		j   *Job
+		err error
+	}
+	out := make(chan submitted, 1)
+	go func() {
+		j, err := b.s.Submit(spec)
+		out <- submitted{j, err}
+	}()
+	select {
+	case <-cc.gate.arrived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the forward never reached the owner")
+	}
+	jobs := b.s.Jobs()
+	if len(jobs) != 1 {
+		t.Fatalf("b lists %d jobs while routing, want 1", len(jobs))
+	}
+	if ok, err := b.s.Cancel(jobs[0].ID); err != nil || !ok {
+		t.Fatalf("Cancel = %v, %v", ok, err)
+	}
+	cc.gate.open()
+	res := <-out
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if st := res.j.Status(); st.State != StateCanceled || st.Cached {
+		t.Fatalf("job = %s cached=%v, want canceled", st.State, st.Cached)
+	}
+	if got := b.s.Metrics().JobsCanceled.Value(); got != 1 {
+		t.Fatalf("jobs_canceled = %d, want 1", got)
+	}
+}
+
+// TestStealForwardFailureKeepsQueuedJob: a hand-off whose forward
+// cannot reach the thief leaves the job to the pool entry it already
+// has, even when the bounded queue is full. A steal request from a
+// node the loaded node does not know hands nothing off.
+func TestStealForwardFailureKeepsQueuedJob(t *testing.T) {
+	cc := newContractCluster(t, contractScenario{
+		workers: oneWorkerOnA,
+		opts: func(o *Options) {
+			o.QueueDepth = 1
+			o.StealInterval = time.Hour
+		},
+	})
+	a, b := cc.nodes[0], cc.nodes[1]
+	wedge(t, a, 1)
+	spec := findSpec(t, a.cl, fastSpec, func(owners []string) bool {
+		return owners[0] == a.id || owners[1] == a.id
+	})
+	jq, err := a.s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steal := func(by string) int {
+		t.Helper()
+		var resp stealResponse
+		if err := cluster.DoJSON(context.Background(), http.DefaultClient, http.MethodPost,
+			a.addr+cluster.StealPath, stealRequest{By: by, Max: 1}, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Handed
+	}
+	if n := steal("node-unknown"); n != 0 || jq.State() != StateQueued {
+		t.Fatalf("unknown node was handed %d jobs, job %s", n, jq.State())
+	}
+	// b stays alive in a's view but can no longer be reached.
+	b.srv.CloseClientConnections()
+	b.srv.Close()
+	if n := steal(b.id); n != 0 {
+		t.Fatalf("unreachable thief was handed %d jobs", n)
+	}
+	if st := jq.State(); st != StateQueued {
+		t.Fatalf("after the failed hand-off the job is %s, want queued", st)
+	}
+	for _, st := range a.s.Jobs() {
+		if st.State == StateRunning {
+			a.s.Cancel(st.ID)
+		}
+	}
+	if st := waitTerminal(t, jq, 30*time.Second); st.State != StateDone || st.Node != a.id {
+		t.Fatalf("job = %s on %q (err %q), want done on %s", st.State, st.Node, st.Error, a.id)
 	}
 }

@@ -4,23 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"runtime"
-	"time"
 
-	"chameleon/internal/cluster"
 	"chameleon/internal/config"
 	"chameleon/internal/dse"
 	"chameleon/internal/sim"
-)
-
-// Status-poll pacing for a sweep cell executing on a ring peer: start
-// fast so short cells return promptly, then back off exponentially to
-// the cap so long cells don't drown a large sweep in idle HTTP chatter
-// (a 10 s cell costs ~13 polls instead of ~66 at a fixed 150 ms).
-const (
-	dseRemotePollStart = 150 * time.Millisecond
-	dseRemotePollCap   = time.Second
 )
 
 // runDSE executes a design-space sweep job. Every expanded cell
@@ -100,24 +88,34 @@ func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell) (d
 	}
 	if s.clustered() {
 		owners := s.cl.Owners(hash, replication)
-		selfOwned := false
-		for _, o := range owners {
-			if o.ID == s.selfID() {
-				selfOwned = true
-			}
-		}
 		if b, ok := s.peerCacheGet(hash, owners); ok {
 			s.metrics.PeerCacheHits.Add(1)
 			s.metrics.DSECellsCached.Add(1)
 			s.cache.Put(hash, b)
 			return decodeEval(b, hash, true)
 		}
-		if !selfOwned {
-			if b, ok := s.runCellRemote(ctx, cs, owners); ok {
-				s.metrics.DSECellsRemote.Add(1)
-				s.cache.Put(hash, b)
-				return decodeEval(b, hash, false)
+		// Run the cell on its first reachable owner; the forwarded
+		// header makes the owner run it locally (or hand it to an idle
+		// peer). A failed wait falls through to the inline simulation.
+		remote := owners
+		if s.cl.IsOwner(hash, replication) {
+			remote = nil
+		}
+		for _, o := range remote {
+			if !s.cl.Alive(o.ID) {
+				continue
 			}
+			rid, err := s.forwardTo(o, cs)
+			if err != nil {
+				continue
+			}
+			b, _, err := s.awaitRemote(ctx, o, rid, nil)
+			if err != nil {
+				break
+			}
+			s.metrics.DSECellsRemote.Add(1)
+			s.cache.Put(hash, b)
+			return decodeEval(b, hash, false)
 		}
 	}
 
@@ -146,55 +144,4 @@ func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell) (d
 		go s.writeBackResult(hash, b)
 	}
 	return dse.Eval{Result: res, Hash: hash}, nil
-}
-
-// runCellRemote submits a cell's sim spec to its first reachable ring
-// owner (with the forwarded loop guard, so the owner runs it locally
-// and may offer it to work stealing), polls to a terminal state, and
-// fetches the result bytes. ok=false on any failure: the caller
-// simulates the cell locally instead.
-func (s *Server) runCellRemote(ctx context.Context, cs JobSpec, owners []cluster.Node) ([]byte, bool) {
-	self := s.selfID()
-	for _, o := range owners {
-		if o.ID == self || !s.cl.Alive(o.ID) {
-			continue
-		}
-		cctx, cancel := context.WithTimeout(ctx, peerCallTimeout)
-		var st JobStatus
-		err := cluster.DoJSONHeader(cctx, s.cl.HTTPClient(), http.MethodPost,
-			o.Addr+"/v1/jobs", map[string]string{cluster.ForwardedHeader: self}, cs, &st)
-		cancel()
-		if err != nil {
-			s.cl.Membership().MarkFailed(o.ID)
-			continue
-		}
-		poll := dseRemotePollStart
-		for !st.State.Terminal() {
-			select {
-			case <-ctx.Done():
-				s.cancelRemote(o.Addr, st.ID)
-				return nil, false
-			case <-time.After(poll):
-			}
-			poll = min(2*poll, dseRemotePollCap)
-			cctx, cancel := context.WithTimeout(ctx, peerCallTimeout)
-			perr := cluster.DoJSON(cctx, s.cl.HTTPClient(), http.MethodGet, o.Addr+"/v1/jobs/"+st.ID, nil, &st)
-			cancel()
-			if perr != nil {
-				s.cl.Membership().MarkFailed(o.ID)
-				return nil, false
-			}
-		}
-		if st.State != StateDone {
-			return nil, false
-		}
-		cctx, cancel = context.WithTimeout(ctx, peerCallTimeout)
-		b, ok, err := cluster.GetBytes(cctx, s.cl.HTTPClient(), o.Addr+"/v1/jobs/"+st.ID+"/result")
-		cancel()
-		if err != nil || !ok {
-			return nil, false
-		}
-		return b, true
-	}
-	return nil, false
 }

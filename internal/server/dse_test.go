@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -175,6 +176,24 @@ func TestDSESpecNormalization(t *testing.T) {
 		sp := JobSpec{Kind: KindDSE, DSE: &dse.Spec{Seeds: seeds}} // 7×14×200 = 19600 cells
 		if _, err := sp.Normalize(); err == nil || !strings.Contains(err.Error(), "cap") {
 			t.Errorf("Normalize = %v, want cell-cap error", err)
+		}
+	})
+	t.Run("cell cap holds before expansion", func(t *testing.T) {
+		// 300 seeds × 300 ratios is ~9k bytes of JSON naming 8.8M cells.
+		d := &dse.Spec{Seeds: make([]uint64, 300), Ratios: make([]int, 300)}
+		for i := range d.Seeds {
+			d.Seeds[i] = uint64(i + 1)
+		}
+		sp := JobSpec{Kind: KindDSE, DSE: d}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := sp.Normalize()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "cap") {
+			t.Fatalf("Normalize = %v, want cell-cap error", err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+			t.Errorf("rejecting the sweep allocated %d MiB; the cap must hold before cells are built", alloc>>20)
 		}
 	})
 }

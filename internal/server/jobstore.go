@@ -15,16 +15,13 @@ import (
 type JobState string
 
 // Job lifecycle states. Queued jobs wait for a worker; running jobs
-// own one; done/failed/canceled are terminal. Two states exist only
-// on clustered servers: remote jobs were forwarded to the ring owner
-// and mirror its progress here; claimed jobs were stolen off our
-// queue by an idle peer and will be completed (or reverted) from
-// there.
+// own one; done/failed/canceled are terminal. Remote exists only on
+// clustered servers: the job executes on a peer (its ring owner, or
+// an idle node it was handed off to) and mirrors that copy here.
 const (
 	StateQueued   JobState = "queued"
 	StateRunning  JobState = "running"
 	StateRemote   JobState = "remote"
-	StateClaimed  JobState = "claimed"
 	StateDone     JobState = "done"
 	StateFailed   JobState = "failed"
 	StateCanceled JobState = "canceled"
@@ -90,26 +87,27 @@ type Job struct {
 	submittedAt time.Time
 	startedAt   time.Time
 	finishedAt  time.Time
-	cancel      context.CancelFunc
+	// cancel stops whatever executes the job: the run context of a
+	// running job, the await loop of a remote one.
+	cancel context.CancelFunc
 
 	// Cluster bookkeeping. node labels the executing node; for remote
-	// mirrors nodeAddr/remoteID reference the owner's job, and origin
-	// (on a thief's copy of a stolen job) names the victim job to
-	// report completion back to.
+	// mirrors nodeAddr/remoteID reference the executing node's job.
 	node     string
 	nodeAddr string
 	remoteID string
-	origin   *originRef
+
+	// pooled is set while an entry for the job waits in the worker
+	// pool (set by claimPoolEntry, cleared by tryStart or dequeued). A
+	// job handed to a peer leaves its entry behind; if the job comes
+	// back before a worker takes that entry, the entry starts it.
+	pooled bool
+
+	// onEnd, if set, runs once when the job reaches a terminal state,
+	// with the state it left, before Done waiters wake.
+	onEnd func(from, to JobState)
 
 	done chan struct{}
-}
-
-// originRef names the victim-side job a stolen job must report back
-// to: the owner node, its base URL, and the job ID in its store.
-type originRef struct {
-	NodeID string
-	Addr   string
-	ID     string
 }
 
 func newJob(id string, spec JobSpec, now time.Time) *Job {
@@ -161,12 +159,43 @@ func (j *Job) Result() ([]byte, error) {
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// tryStart transitions queued → running; it fails if the job was
-// canceled while waiting in the queue. The cancel func tears down the
-// job's run context.
+// claimPoolEntry reports whether a queued job needs a worker-pool
+// entry (it has none waiting) and records that it is getting one.
+func (j *Job) claimPoolEntry() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != StateQueued || j.pooled {
+		return false
+	}
+	j.pooled = true
+	return true
+}
+
+// dequeued records that a worker took the job's pool entry without
+// starting it and returns the job's state.
+func (j *Job) dequeued() JobState {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.pooled = false
+	return j.state
+}
+
+// poolState returns the job's state and whether a pool entry for it
+// waits.
+func (j *Job) poolState() (JobState, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state, j.pooled
+}
+
+// tryStart takes the job's pool entry and transitions queued →
+// running; it fails if the job was canceled or handed to a peer while
+// waiting in the queue. The cancel func tears down the job's run
+// context.
 func (j *Job) tryStart(now time.Time, cancel context.CancelFunc) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.pooled = false
 	if j.state != StateQueued {
 		return false
 	}
@@ -174,6 +203,21 @@ func (j *Job) tryStart(now time.Time, cancel context.CancelFunc) bool {
 	j.startedAt = now
 	j.cancel = cancel
 	return true
+}
+
+// endLocked moves a non-terminal job to a terminal state and wakes
+// Done waiters. Every terminal transition goes through it, so onEnd
+// counts each job exactly once, and a waiter that sees the job end
+// sees it counted. The caller holds j.mu.
+func (j *Job) endLocked(state JobState, now time.Time) {
+	from := j.state
+	j.state = state
+	j.finishedAt = now
+	j.cancel = nil
+	if j.onEnd != nil {
+		j.onEnd(from, state)
+	}
+	close(j.done)
 }
 
 // finish moves the job to a terminal state. It is a no-op if the job
@@ -184,42 +228,37 @@ func (j *Job) finish(state JobState, result []byte, err error, now time.Time) bo
 	if j.state.Terminal() {
 		return false
 	}
-	j.state = state
 	j.result = result
 	if err != nil {
 		j.err = err.Error()
 	}
-	j.finishedAt = now
-	j.cancel = nil
-	close(j.done)
+	j.endLocked(state, now)
 	return true
 }
 
-// Cancel cancels a queued or running job. Queued (and remote /
-// claimed) jobs go terminal immediately; running jobs get their
-// context canceled and go terminal when the simulation loop notices.
-// It reports whether the call had any effect.
+// Cancel cancels a queued, remote or running job. Queued and remote
+// jobs go terminal immediately (a remote job's await loop then tells
+// the executing node); running jobs get their context canceled and go
+// terminal when the simulation loop notices. It reports whether the
+// call had any effect.
 func (j *Job) Cancel(now time.Time) bool {
 	j.mu.Lock()
-	switch j.state {
-	case StateQueued, StateRemote, StateClaimed:
-		prev := j.state
-		j.state = StateCanceled
-		j.err = "canceled while " + string(prev)
-		j.finishedAt = now
-		close(j.done)
-		j.mu.Unlock()
-		return true
-	}
-	if j.state == StateRunning && j.cancel != nil {
-		cancel := j.cancel
+	stop := j.cancel
+	switch {
+	case j.state == StateQueued || j.state == StateRemote:
+		j.err = "canceled while " + string(j.state)
+		j.endLocked(StateCanceled, now)
+	case j.state == StateRunning && stop != nil:
 		j.cancel = nil
+	default:
 		j.mu.Unlock()
-		cancel()
-		return true
+		return false
 	}
 	j.mu.Unlock()
-	return false
+	if stop != nil {
+		stop()
+	}
+	return true
 }
 
 // setSimProgress records a timeline sample.
@@ -258,16 +297,18 @@ func (j *Job) setDSEProgress(done, cached, pruned, total int) {
 	j.mu.Unlock()
 }
 
-// markCached fills a freshly submitted job from a cache hit: it is
-// born terminal.
+// markCached fills a freshly submitted job from a cache hit. It is a
+// no-op unless the job is still queued: a client may cancel a job
+// while its submit is still routing it.
 func (j *Job) markCached(result []byte, now time.Time) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != StateQueued {
+		return
+	}
 	j.cached = true
-	j.state = StateDone
 	j.result = result
-	j.finishedAt = now
-	close(j.done)
-	j.mu.Unlock()
+	j.endLocked(StateDone, now)
 }
 
 // State returns the job's current lifecycle state.
@@ -287,97 +328,62 @@ func (j *Job) setNode(id string) {
 	j.mu.Unlock()
 }
 
-// markRemote turns a freshly queued job into a mirror of remoteID
-// executing on the named owner node. Fails if the job already left
-// the queued state (e.g. canceled during the forward round-trip).
-func (j *Job) markRemote(nodeID, addr, remoteID string, now time.Time) bool {
+// markRemote is the CAS that makes every hand-off exactly-once: it
+// moves a queued job to remote, executing on the named node, and
+// fails for any other state. The local worker (tryStart), a second
+// hand-off and a canceling client race on the same mutex, so exactly
+// one party ever runs the job. stop ends the job's await loop.
+func (j *Job) markRemote(nodeID, addr string, now time.Time, stop context.CancelFunc) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
 		return false
 	}
 	j.state = StateRemote
-	j.node, j.nodeAddr, j.remoteID = nodeID, addr, remoteID
+	j.node, j.nodeAddr = nodeID, addr
 	j.startedAt = now
+	j.cancel = stop
 	return true
 }
 
-// remoteRef returns the mirror's owner reference (valid while the
-// job is in StateRemote).
-func (j *Job) remoteRef() (nodeID, addr, remoteID string) {
+// setRemoteID records the executing node's job ID once the forward
+// that created it replies.
+func (j *Job) setRemoteID(rid string) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.node, j.nodeAddr, j.remoteID
+	j.remoteID = rid
+	j.mu.Unlock()
 }
 
-// tryClaim is the CAS guard that makes work stealing exactly-once: it
-// transitions queued → claimed for thief `by`, and fails for any
-// other current state — a second thief, the local worker (tryStart),
-// and a canceling client race on the same mutex, so exactly one
-// party ever runs the job.
-func (j *Job) tryClaim(by, addr string, now time.Time) bool {
+// revertToQueued returns a remote job to the local queue after the
+// node executing it died or could not take it. The caller must then
+// enqueue it, which adds a pool entry only if the old one was taken.
+func (j *Job) revertToQueued() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateQueued {
-		return false
-	}
-	j.state = StateClaimed
-	j.node, j.nodeAddr = by, addr
-	j.startedAt = now
-	return true
-}
-
-// revertToQueued returns a remote or claimed job to the local queue
-// after its executing node died. The caller must re-submit it to the
-// worker pool on success.
-func (j *Job) revertToQueued(now time.Time) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateRemote && j.state != StateClaimed {
+	if j.state != StateRemote {
 		return false
 	}
 	j.state = StateQueued
 	j.node, j.nodeAddr, j.remoteID = "", "", ""
 	j.startedAt = time.Time{}
 	j.progress = Progress{}
+	j.cancel = nil
 	return true
 }
 
-// finishFromPeer moves a remote or claimed job to a terminal state on
-// behalf of the node that executed it. No-op if already terminal.
+// finishFromPeer moves a remote job to a terminal state on behalf of
+// the node that executed it. No-op if already terminal.
 func (j *Job) finishFromPeer(state JobState, result []byte, errstr string, cached bool, now time.Time) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
 		return false
 	}
-	j.state = state
 	j.result = result
 	j.err = errstr
 	j.cached = cached
-	j.finishedAt = now
-	j.cancel = nil
-	close(j.done)
+	j.endLocked(state, now)
 	return true
-}
-
-// setOrigin records, on a thief's local copy of a stolen job, the
-// victim job to report completion back to. Set once before the job
-// enters the pool.
-func (j *Job) setOrigin(nodeID, addr, id string) {
-	j.mu.Lock()
-	j.origin = &originRef{NodeID: nodeID, Addr: addr, ID: id}
-	j.mu.Unlock()
-}
-
-// Origin returns the stolen job's victim reference, if any.
-func (j *Job) Origin() (originRef, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.origin == nil {
-		return originRef{}, false
-	}
-	return *j.origin, true
 }
 
 // setProgress overwrites the progress snapshot (remote mirrors).
@@ -394,6 +400,9 @@ type Store struct {
 	jobs   map[string]*Job
 	ids    []string // submission order, for listing
 	seq    atomic.Uint64
+
+	// onEnd is handed to every new job (see Job.onEnd).
+	onEnd func(from, to JobState)
 }
 
 // NewStore returns an empty registry.
@@ -415,6 +424,7 @@ func (s *Store) NewJob(spec JobSpec, now time.Time) *Job {
 	s.mu.Lock()
 	id := fmt.Sprintf("%sj%08x", s.prefix, s.seq.Add(1))
 	j := newJob(id, spec, now)
+	j.onEnd = s.onEnd
 	s.jobs[id] = j
 	s.ids = append(s.ids, id)
 	s.mu.Unlock()
@@ -422,7 +432,7 @@ func (s *Store) NewJob(spec JobSpec, now time.Time) *Job {
 }
 
 // Snapshot returns every job in submission order (live pointers, for
-// cluster sweeps).
+// the work-stealing hand-off).
 func (s *Store) Snapshot() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()

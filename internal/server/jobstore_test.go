@@ -7,9 +7,9 @@ import (
 )
 
 // TestJobCancelRaces races Cancel against every competing lifecycle
-// transition — local start, peer claim, remote completion — under the
-// race detector. The invariants are the ones the cluster relies on
-// for exactly-once execution: at most one "executor" transition wins,
+// transition — local start, hand-off to a peer, remote completion —
+// under the race detector. The invariants are the ones the cluster
+// relies on for exactly-once execution: at most one "executor" transition wins,
 // the done channel closes exactly once (a double close panics), and
 // the job lands in a coherent terminal-or-queued state.
 func TestJobCancelRaces(t *testing.T) {
@@ -31,12 +31,12 @@ func TestJobCancelRaces(t *testing.T) {
 		},
 		{
 			name:    "queued: peer claim vs cancel",
-			rival:   func(j *Job) bool { return j.tryClaim("thief", "http://x", now) },
-			allowed: map[JobState]bool{StateClaimed: true, StateCanceled: true},
+			rival:   func(j *Job) bool { return j.markRemote("thief", "http://x", now, func() {}) },
+			allowed: map[JobState]bool{StateRemote: true, StateCanceled: true},
 		},
 		{
 			name:    "queued: forward vs cancel",
-			rival:   func(j *Job) bool { return j.markRemote("owner", "http://x", "rid", now) },
+			rival:   func(j *Job) bool { return j.markRemote("owner", "http://x", now, func() {}) },
 			allowed: map[JobState]bool{StateRemote: true, StateCanceled: true},
 		},
 		{
@@ -47,22 +47,22 @@ func TestJobCancelRaces(t *testing.T) {
 		},
 		{
 			name:    "remote: peer completion vs cancel",
-			prep:    func(j *Job) { j.markRemote("owner", "http://x", "rid", now) },
+			prep:    func(j *Job) { j.markRemote("owner", "http://x", now, func() {}) },
 			rival:   func(j *Job) bool { return j.finishFromPeer(StateDone, []byte("{}"), "", true, now) },
 			allowed: map[JobState]bool{StateDone: true, StateCanceled: true},
 		},
 		{
 			name:    "claimed: thief completion vs cancel",
-			prep:    func(j *Job) { j.tryClaim("thief", "http://x", now) },
+			prep:    func(j *Job) { j.markRemote("thief", "http://x", now, func() {}) },
 			rival:   func(j *Job) bool { return j.finishFromPeer(StateFailed, nil, "boom", false, now) },
 			allowed: map[JobState]bool{StateFailed: true, StateCanceled: true},
 		},
 		{
 			name: "remote: dead-node revert vs cancel",
-			prep: func(j *Job) { j.markRemote("owner", "http://x", "rid", now) },
+			prep: func(j *Job) { j.markRemote("owner", "http://x", now, func() {}) },
 			// revert then (sequentially) cancel can both succeed; the job
 			// must never end half-reverted.
-			rival:   func(j *Job) bool { return j.revertToQueued(now) },
+			rival:   func(j *Job) bool { return j.revertToQueued() },
 			allowed: map[JobState]bool{StateQueued: true, StateCanceled: true},
 		},
 	}
@@ -87,8 +87,8 @@ func TestJobCancelRaces(t *testing.T) {
 						iter, st, rivalWon, cancelWon)
 				}
 				// A canceled-while-waiting job must reject both executors:
-				// once terminal, neither start nor claim may succeed.
-				if st == StateCanceled && (j.tryStart(now, func() {}) || j.tryClaim("late", "", now)) {
+				// once terminal, neither start nor hand-off may succeed.
+				if st == StateCanceled && (j.tryStart(now, func() {}) || j.markRemote("late", "", now, func() {})) {
 					t.Fatalf("iter %d: terminal job accepted a late executor", iter)
 				}
 			}
@@ -96,8 +96,9 @@ func TestJobCancelRaces(t *testing.T) {
 	}
 }
 
-// TestJobStartClaimExclusive races the local worker against a remote
-// thief for the same queued job: exactly one may win.
+// TestJobStartClaimExclusive races the local worker against a hand-off
+// to an idle peer (the thief's claim) for the same queued job: exactly
+// one may win.
 func TestJobStartClaimExclusive(t *testing.T) {
 	now := time.Now()
 	for iter := 0; iter < 500; iter++ {
@@ -106,7 +107,7 @@ func TestJobStartClaimExclusive(t *testing.T) {
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() { defer wg.Done(); started = j.tryStart(now, func() {}) }()
-		go func() { defer wg.Done(); claimed = j.tryClaim("thief", "", now) }()
+		go func() { defer wg.Done(); claimed = j.markRemote("thief", "", now, func() {}) }()
 		wg.Wait()
 		if started == claimed {
 			t.Fatalf("iter %d: started=%v claimed=%v, want exactly one winner",
@@ -136,11 +137,12 @@ func TestStoreIDPrefix(t *testing.T) {
 func TestJobRevertClearsExecutionState(t *testing.T) {
 	now := time.Now()
 	j := newJob("j1", fastSpec(1), now)
-	if !j.markRemote("owner", "http://x", "rid", now) {
+	if !j.markRemote("owner", "http://x", now, func() {}) {
 		t.Fatal("markRemote failed")
 	}
+	j.setRemoteID("rid")
 	j.setProgress(Progress{Epochs: 7})
-	if !j.revertToQueued(now) {
+	if !j.revertToQueued() {
 		t.Fatal("revertToQueued failed")
 	}
 	st := j.Status()

@@ -25,7 +25,7 @@ type Metrics struct {
 	JobsRunning   expvar.Int // gauge: currently executing
 	JobsDone      expvar.Int // total simulated to completion locally
 	JobsFailed    expvar.Int // total failed (error or deadline)
-	JobsCanceled  expvar.Int // total canceled (queued or mid-run)
+	JobsCanceled  expvar.Int // jobs that reached canceled (queued, remote or mid-run)
 	CacheHits     expvar.Int
 	CacheMisses   expvar.Int
 	SimCycles     expvar.Int // simulated cycles completed, all jobs
@@ -50,8 +50,8 @@ type Metrics struct {
 	// Cluster counters (zero on standalone servers).
 	JobsForwarded  expvar.Int // submits proxied to the ring owner
 	JobsRemoteDone expvar.Int // local jobs completed by a peer's execution
-	JobsStolen     expvar.Int // queued jobs this node claimed from peers
-	JobsStolenAway expvar.Int // queued jobs peers claimed from this node
+	JobsStolen     expvar.Int // queued jobs loaded peers handed to this node
+	JobsStolenAway expvar.Int // queued jobs this node handed to idle peers
 	JobsReenqueued expvar.Int // jobs re-queued locally after a node died
 	PeerCacheHits  expvar.Int // local misses served from a peer's cache
 	PeerCacheFills expvar.Int // peer-pushed results accepted into the cache

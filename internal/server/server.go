@@ -44,14 +44,10 @@ type Options struct {
 	// from loaded nodes when idle. The caller owns the cluster's
 	// gossip lifecycle (Start/Stop).
 	Cluster *cluster.Cluster
-	// RemotePoll is the refresh period for forwarded-job mirrors and
-	// dead-node sweeps (default 200ms).
-	RemotePoll time.Duration
 	// StealInterval is the work-stealing scan period (default 500ms).
 	StealInterval time.Duration
-	// ClusterManual disables the background cluster loops; tests
-	// drive pollRemotes/sweepDead/stealOnce directly so membership
-	// and routing transitions happen at deterministic points.
+	// ClusterManual disables the background work-stealing loop; tests
+	// call stealOnce directly so steals happen at deterministic points.
 	ClusterManual bool
 }
 
@@ -70,9 +66,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheBytes == 0 {
 		o.CacheBytes = 256 << 20
-	}
-	if o.RemotePoll <= 0 {
-		o.RemotePoll = 200 * time.Millisecond
 	}
 	if o.StealInterval <= 0 {
 		o.StealInterval = 500 * time.Millisecond
@@ -97,6 +90,12 @@ type Server struct {
 	stopOnce sync.Once
 	stop     chan struct{}
 	loopWG   sync.WaitGroup
+
+	// mirrors counts the goroutines awaiting jobs that run on peers;
+	// Shutdown sets mirrorsOff (under mirrorMu) and then waits for them.
+	mirrorMu   sync.Mutex
+	mirrorsOff bool
+	mirrors    sync.WaitGroup
 }
 
 // New builds and starts a server: its worker pool is live on return.
@@ -111,23 +110,15 @@ func New(opts Options) *Server {
 		stop:    make(chan struct{}),
 	}
 	s.metrics.SetCacheStats(s.cache.Stats)
+	s.store.onEnd = s.countEnd
 	if s.cl != nil {
 		s.store.SetIDPrefix(s.cl.Self().ID + "-")
 		s.metrics.SetClusterInfo(s.clusterInfo)
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.pool = newPool(opts.Workers, opts.QueueDepth, s.runJob)
-	if s.cl != nil {
-		// Ring changes (a node died, a node joined) immediately sweep
-		// for work that must move; the background loops catch the rest.
-		s.cl.SetOnChange(func() {
-			if !s.draining.Load() {
-				s.sweepDead()
-			}
-		})
-		if !opts.ClusterManual {
-			s.startClusterLoops()
-		}
+	if s.cl != nil && !opts.ClusterManual {
+		s.startClusterLoops()
 	}
 	return s
 }
@@ -169,9 +160,9 @@ func (s *Server) submit(spec JobSpec, forwardedFrom string) (*Job, error) {
 	s.metrics.JobsSubmitted.Add(1)
 	now := time.Now()
 	hash := norm.Hash()
+	j := s.store.NewJob(norm, now)
 	if res, ok := s.cache.Get(hash); ok {
 		s.metrics.CacheHits.Add(1)
-		j := s.store.NewJob(norm, now)
 		j.setNode(s.selfID())
 		j.markCached(res, now)
 		return j, nil
@@ -179,40 +170,46 @@ func (s *Server) submit(spec JobSpec, forwardedFrom string) (*Job, error) {
 	s.metrics.CacheMisses.Add(1)
 	if s.clustered() {
 		owners := s.cl.Owners(hash, replication)
-		selfOwned := false
-		for _, o := range owners {
-			if o.ID == s.selfID() {
-				selfOwned = true
-			}
-		}
 		// Route to the ring owner — single hop only (the loop guard
 		// stops forward chains), and trace replays never leave the node
-		// holding the trace file.
-		if !selfOwned && forwardedFrom == "" && norm.TracePath == "" {
-			if j, ok := s.forward(norm, hash, now, owners); ok {
-				return j, nil
+		// holding the trace file. If no owner takes it, serve locally:
+		// a dead owner costs the cluster capacity, never a job.
+		if !s.cl.IsOwner(hash, replication) && forwardedFrom == "" && norm.TracePath == "" {
+			for _, o := range owners {
+				if s.cl.Alive(o.ID) && s.handOff(j, o) {
+					s.metrics.JobsForwarded.Add(1)
+					return j, nil
+				}
 			}
-			// Owner unreachable: serve locally — a dead owner costs the
-			// cluster capacity, never a job.
 		}
 		if b, ok := s.peerCacheGet(hash, owners); ok {
 			s.metrics.PeerCacheHits.Add(1)
 			s.cache.Put(hash, b)
-			j := s.store.NewJob(norm, now)
 			j.setNode(s.selfID())
 			j.markCached(b, now)
 			return j, nil
 		}
 	}
-	j := s.store.NewJob(norm, now)
 	j.setNode(s.selfID())
-	if err := s.pool.Submit(j); err != nil {
-		j.finish(StateFailed, nil, err, time.Now())
-		s.metrics.JobsFailed.Add(1)
+	if err := s.enqueue(j); err != nil {
 		return nil, err
 	}
-	s.metrics.JobsQueued.Add(1)
 	return j, nil
+}
+
+// enqueue puts a queued job on the local worker pool unless an entry
+// for it already waits there (or it is no longer queued, e.g. a client
+// canceled it meanwhile). A full or closed pool fails the job.
+func (s *Server) enqueue(j *Job) error {
+	if !j.claimPoolEntry() {
+		return nil
+	}
+	if err := s.pool.Submit(j); err != nil {
+		j.finish(StateFailed, nil, err, time.Now())
+		return err
+	}
+	s.metrics.JobsQueued.Add(1)
+	return nil
 }
 
 // Job looks up a job by ID.
@@ -231,16 +228,20 @@ func (s *Server) Cancel(id string) (bool, error) {
 }
 
 // Shutdown stops intake and drains: queued jobs are canceled, running
-// jobs are given until ctx's deadline to finish, then their run
-// contexts are cut. Always waits for every worker (and any cluster
-// loop) to exit.
+// and remote jobs are given until ctx's deadline to finish, then their
+// run contexts are cut (a remote job's cut cancels it on the node
+// executing it). Always waits for every worker, mirror and cluster
+// loop to exit.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.stopOnce.Do(func() { close(s.stop) })
 	s.loopWG.Wait()
 	s.pool.Close()
+	s.mirrorMu.Lock()
+	s.mirrorsOff = true
+	s.mirrorMu.Unlock()
 	done := make(chan struct{})
-	go func() { s.pool.Wait(); close(done) }()
+	go func() { s.pool.Wait(); s.mirrors.Wait(); close(done) }()
 	select {
 	case <-done:
 		return nil
@@ -251,32 +252,47 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
+// countEnd updates the job counters and the running gauge for a job's
+// terminal transition. A job a peer executed counts there, except in
+// jobs_remote_done here.
+func (s *Server) countEnd(from, to JobState) {
+	if from == StateRunning {
+		s.metrics.JobsRunning.Add(-1)
+	}
+	switch {
+	case to == StateCanceled:
+		s.metrics.JobsCanceled.Add(1)
+	case from == StateRemote:
+		if to == StateDone {
+			s.metrics.JobsRemoteDone.Add(1)
+		}
+	case to == StateFailed:
+		s.metrics.JobsFailed.Add(1)
+	case to == StateDone && from == StateRunning:
+		s.metrics.JobsDone.Add(1)
+	}
+}
+
 // runJob executes one dequeued job on a worker goroutine.
 func (s *Server) runJob(j *Job) {
 	now := time.Now()
 	s.metrics.JobsQueued.Add(-1)
 	if s.draining.Load() {
-		// Drain mode: queued jobs are canceled, not started.
-		if j.Cancel(now) {
-			s.metrics.JobsCanceled.Add(1)
+		// Drain mode: queued jobs are canceled, not started. A job
+		// handed to a peer keeps its grace period.
+		if j.dequeued() == StateQueued {
+			j.Cancel(now)
 		}
 		return
 	}
 	ctx, cancel := context.WithTimeout(s.baseCtx, j.Spec.Timeout(s.opts.DefaultTimeout))
 	defer cancel()
 	if !j.tryStart(now, cancel) {
-		if j.State() == StateClaimed {
-			// Stolen off our queue while waiting: the thief owns it now
-			// and reports its completion via the peer protocol.
-			return
-		}
-		// Canceled while waiting in the queue.
-		s.metrics.JobsCanceled.Add(1)
+		// Canceled or handed to a peer while waiting in the queue.
 		return
 	}
 	s.metrics.ObserveQueueWait(now.Sub(j.Status().SubmittedAt))
-	s.metrics.JobsRunning.Add(1)
-	defer s.metrics.JobsRunning.Add(-1)
+	s.metrics.JobsRunning.Add(1) // countEnd takes it back
 
 	var payload any
 	var err error
@@ -300,34 +316,21 @@ func (s *Server) runJob(j *Job) {
 			err = fmt.Errorf("deadline exceeded after %s: %w",
 				j.Spec.Timeout(s.opts.DefaultTimeout), err)
 		}
-		if j.finish(state, nil, err, fin) {
-			if state == StateCanceled {
-				s.metrics.JobsCanceled.Add(1)
-			} else {
-				s.metrics.JobsFailed.Add(1)
-			}
-		}
-		s.reportToOrigin(j, nil, err)
+		j.finish(state, nil, err, fin)
 		return
 	}
 	b, err := marshalResult(payload)
 	if err != nil {
-		if j.finish(StateFailed, nil, err, fin) {
-			s.metrics.JobsFailed.Add(1)
-		}
-		s.reportToOrigin(j, nil, err)
+		j.finish(StateFailed, nil, err, fin)
 		return
 	}
 	s.cache.Put(j.Hash, b)
-	if j.finish(StateDone, b, nil, fin) {
-		s.metrics.JobsDone.Add(1)
-	}
+	j.finish(StateDone, b, nil, fin)
 	if s.clustered() {
 		// Replicate to the ring owner and replica so a node death
 		// loses capacity, not results.
 		go s.writeBackResult(j.Hash, b)
 	}
-	s.reportToOrigin(j, b, nil)
 }
 
 // simThreads resolves a job's per-simulation thread count. Jobs are

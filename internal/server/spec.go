@@ -254,12 +254,13 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		if err != nil {
 			return s, err
 		}
-		cells, err := d.Expand()
-		if err != nil {
-			return s, err
+		// Count before expanding: the cap must hold before the cells
+		// are built, or one submission can exhaust memory.
+		if n := d.CellCount(); n > maxDSECells {
+			return s, fmt.Errorf("dse sweep expands to %d cells, above the per-job cap of %d (split the sweep)", n, maxDSECells)
 		}
-		if len(cells) > maxDSECells {
-			return s, fmt.Errorf("dse sweep expands to %d cells, above the per-job cap of %d (split the sweep)", len(cells), maxDSECells)
+		if _, err := d.Expand(); err != nil {
+			return s, err
 		}
 		s.DSE = &d
 		s.Scale, s.Seed = 256, 42

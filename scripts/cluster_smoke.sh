@@ -8,7 +8,10 @@
 #   2. a result computed via node A is served from the cluster cache
 #      when the same spec is submitted via node B (cached: true, no
 #      second simulation);
-#   3. killing node C mid-queue loses no jobs — everything submitted
+#   3. a cancel through a non-owner stops the owner's copy: a
+#      never-ending job forwarded away from node A and canceled on A
+#      ends "canceled" on the node that executes it;
+#   4. killing node C mid-queue loses no jobs — everything submitted
 #      through node A still reaches state "done" on the survivors.
 #
 # Needs: bash, curl, go. No jq — parsing is grep-based on the API's
@@ -125,6 +128,39 @@ wait_done "$B" "$JOB_D2" 600 || fail "second dse job via B did not complete"
 curl -sf "$B/v1/jobs/$JOB_D2/result" | grep -q '"cached":4' ||
   fail "second dse sweep did not serve all 4 cells from the cluster cache"
 echo "ok: dse sweep ran; changed-objectives resubmit reused every cell"
+
+echo "== cancel check: a cancel through a non-owner stops the owner's copy"
+field() { # json key -> first string value of key
+  printf '%s' "$1" | grep -o "\"$2\": \"[^\"]*\"" | head -1 | sed 's/.*: "//; s/"//'
+}
+LONG=1099511627776 # instructions: runs until canceled
+JOB_X=""
+for seed in $(seq 201 240); do
+  resp="$(curl -sf -X POST -H 'Content-Type: application/json' -d "$(spec "$seed" "$LONG")" "$A/v1/jobs")"
+  id="$(field "$resp" id)"
+  if printf '%s' "$resp" | grep -q '"state": "remote"'; then
+    JOB_X="$id"
+    break
+  fi
+  curl -sf -X DELETE "$A/v1/jobs/$id" >/dev/null # A owns this spec; drop it
+done
+[ -n "$JOB_X" ] || fail "no long spec was forwarded away from A"
+curl -sf -X DELETE "$A/v1/jobs/$JOB_X" | grep -q '"canceled": true' ||
+  fail "cancel of $JOB_X via A had no effect"
+MIRROR="$(curl -sf "$A/v1/jobs/$JOB_X")"
+OWNER_ADDR="$(field "$MIRROR" node_addr)"
+REMOTE_ID="$(field "$MIRROR" remote_id)"
+[ -n "$OWNER_ADDR" ] && [ -n "$REMOTE_ID" ] || fail "mirror $JOB_X names no executing copy"
+ok=0
+for _ in $(seq 1 100); do
+  if curl -sf "$OWNER_ADDR/v1/jobs/$REMOTE_ID" | grep -q '"state": "canceled"'; then
+    ok=1
+    break
+  fi
+  sleep 0.1
+done
+[ "$ok" -eq 1 ] || fail "copy $REMOTE_ID on $OWNER_ADDR did not end canceled"
+echo "ok: the cancel via A reached the owner's copy on $OWNER_ADDR"
 
 echo "== failover check: kill node C with jobs in flight"
 JOBS=()
