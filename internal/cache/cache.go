@@ -44,20 +44,29 @@ func (s Stats) Snapshot() stats.Snapshot {
 	}
 }
 
-type line struct {
-	tag   uint64
-	lru   uint64
-	valid bool
-	dirty bool
-}
-
-// Cache is a single cache level.
+// Cache is a single cache level, stored as one []uint64 in set-major
+// order. Set s occupies 2*ways words starting at s*2*ways:
+//
+//   - first ways tag words, one per way: the line's block number
+//     (addr >> lineShift) plus one, so that zero marks an invalid way.
+//     A lookup scans only these, 8 B per way, so an 8-way set's tags
+//     take 64 B, one host cache line's worth;
+//   - then ways stamp words: the access tick of the line's last touch
+//     shifted left one bit, with the dirty flag in bit 0. Every access
+//     advances the tick and stamps exactly one line, so valid lines
+//     carry distinct ticks and comparing stamps orders them by recency
+//     just as comparing ticks would. An invalid way's stamp is zero.
+//
+// A fill takes the first invalid way, else the least recently used
+// one. The whole level is one allocation, 16 B per line. The
+// block-plus-one encoding cannot represent the block 2^64−1, which only
+// exists with 1-byte lines at the top of the address space.
 type Cache struct {
 	name      string
 	lineShift uint
 	sets      uint64
 	ways      int
-	lines     []line // sets * ways, set-major
+	words     []uint64 // sets * 2*ways: per set, ways tags then ways stamps
 	tick      uint64
 	stats     Stats
 }
@@ -86,7 +95,7 @@ func New(name string, sizeBytes, ways, lineBytes int) (*Cache, error) {
 		lineShift: shift,
 		sets:      uint64(sets),
 		ways:      ways,
-		lines:     make([]line, sets*ways),
+		words:     make([]uint64, sets*2*ways),
 	}, nil
 }
 
@@ -102,9 +111,21 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 // Snapshot implements stats.Source (Name is the cache level's name).
 func (c *Cache) Snapshot() stats.Snapshot { return c.stats.Snapshot() }
 
-func (c *Cache) set(addr uint64) (base int, tag uint64) {
+// set returns addr's set as its tag and stamp words, and the tag word
+// addr's line has when resident.
+func (c *Cache) set(addr uint64) (tags, stamps []uint64, key uint64) {
 	blk := addr >> c.lineShift
-	return int(blk%c.sets) * c.ways, blk
+	base := int(blk%c.sets) * 2 * c.ways
+	w := c.words[base : base+2*c.ways]
+	return w[:c.ways], w[c.ways:], blk + 1
+}
+
+// dirtyBit is a stamp's dirty flag for a write (1) or a read (0).
+func dirtyBit(write bool) uint64 {
+	if write {
+		return 1
+	}
+	return 0
 }
 
 // Access looks up addr; on a miss the line is filled (write-allocate)
@@ -113,50 +134,51 @@ func (c *Cache) set(addr uint64) (base int, tag uint64) {
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victim Victim, hasVictim bool) {
 	c.stats.Accesses++
 	c.tick++
-	base, tag := c.set(addr)
-	set := c.lines[base : base+c.ways]
+	tags, stamps, key := c.set(addr)
+	stamps = stamps[:len(tags)]
 
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	for i, t := range tags {
+		if t == key {
 			c.stats.Hits++
-			set[i].lru = c.tick
-			if write {
-				set[i].dirty = true
-			}
+			stamps[i] = c.tick<<1 | stamps[i]&1 | dirtyBit(write)
 			return true, Victim{}, false
 		}
 	}
 	c.stats.Misses++
 
 	// Choose a fill slot: first invalid, else LRU.
-	slot := 0
-	for i := range set {
-		if !set[i].valid {
+	slot, oldest := 0, stamps[0]
+	for i, t := range tags {
+		if t == 0 {
 			slot = i
 			break
 		}
-		if set[i].lru < set[slot].lru {
-			slot = i
-		}
+		// Branch-free minimum: recency order is random, so a compare
+		// and jump would mispredict. Stamps stay below 2^63, so the
+		// difference's sign bit is set exactly when st < oldest.
+		st := stamps[i]
+		older := -((st - oldest) >> 63)
+		slot ^= (slot ^ i) & int(older)
+		oldest ^= (oldest ^ st) & older
 	}
-	if set[slot].valid {
-		victim = Victim{Addr: set[slot].tag << c.lineShift, Dirty: set[slot].dirty}
+	if old := tags[slot]; old != 0 {
+		victim = Victim{Addr: (old - 1) << c.lineShift, Dirty: stamps[slot]&1 != 0}
 		hasVictim = true
 		if victim.Dirty {
 			c.stats.Writebacks++
 		}
 	}
-	set[slot] = line{tag: tag, lru: c.tick, valid: true, dirty: write}
+	tags[slot] = key
+	stamps[slot] = c.tick<<1 | dirtyBit(write)
 	return false, victim, hasVictim
 }
 
 // Probe reports whether addr is present without disturbing LRU or
 // statistics.
 func (c *Cache) Probe(addr uint64) bool {
-	base, tag := c.set(addr)
-	set := c.lines[base : base+c.ways]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	tags, _, key := c.set(addr)
+	for _, t := range tags {
+		if t == key {
 			return true
 		}
 	}
@@ -166,12 +188,11 @@ func (c *Cache) Probe(addr uint64) bool {
 // Invalidate drops addr if present, returning whether the dropped line
 // was dirty.
 func (c *Cache) Invalidate(addr uint64) (wasDirty bool) {
-	base, tag := c.set(addr)
-	set := c.lines[base : base+c.ways]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			wasDirty = set[i].dirty
-			set[i] = line{}
+	tags, stamps, key := c.set(addr)
+	for i, t := range tags {
+		if t == key {
+			wasDirty = stamps[i]&1 != 0
+			tags[i], stamps[i] = 0, 0
 			return wasDirty
 		}
 	}
@@ -181,11 +202,11 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty bool) {
 // Flush invalidates the entire cache, returning the number of dirty
 // lines discarded.
 func (c *Cache) Flush() (dirty int) {
-	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].dirty {
-			dirty++
+	for base := c.ways; base < len(c.words); base += 2 * c.ways {
+		for _, st := range c.words[base : base+c.ways] {
+			dirty += int(st & 1)
 		}
-		c.lines[i] = line{}
 	}
+	clear(c.words)
 	return dirty
 }

@@ -122,10 +122,12 @@ func (o Options) runOne(opts sim.Options) (*sim.Result, error) {
 	return o.runOneContext(context.Background(), opts)
 }
 
-// effectiveThreads clamps a per-simulation thread count so that
+// EffectiveThreads clamps a per-simulation thread count so that
 // `concurrent` simultaneous simulations never oversubscribe the
-// machine: concurrent × result ≤ GOMAXPROCS (floored at 1 thread).
-func effectiveThreads(threads, concurrent int) int {
+// machine: concurrent × result ≤ GOMAXPROCS (floored at 1 thread). An
+// unset count (0) means 1, the sequential engine. The matrix runner, DSE
+// sweeps and chamd's jobs all resolve threads here.
+func EffectiveThreads(threads, concurrent int) int {
 	if threads <= 1 {
 		return 1
 	}
@@ -146,7 +148,7 @@ func (o Options) runOneContext(ctx context.Context, opts sim.Options) (*sim.Resu
 		// Standalone drivers run one simulation at a time, so the whole
 		// machine is available; matrix cells arrive with Threads already
 		// clamped against their cell-level parallelism.
-		opts.Threads = effectiveThreads(o.Threads, 1)
+		opts.Threads = EffectiveThreads(o.Threads, 1)
 	}
 	s, err := sim.New(opts)
 	if err != nil {
@@ -210,7 +212,7 @@ func RunMatrixContext(ctx context.Context, o Options) (*Matrix, error) {
 	// Parallelism cells in flight, each run may use at most
 	// GOMAXPROCS / Parallelism workers before the matrix oversubscribes
 	// the machine.
-	simThreads := effectiveThreads(o.Threads, o.Parallelism)
+	simThreads := EffectiveThreads(o.Threads, o.Parallelism)
 	matrixPols := make([]sim.PolicyKind, 0, len(pols)+1)
 	var jobs []job
 	for _, name := range o.Workloads {

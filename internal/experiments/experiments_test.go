@@ -2,10 +2,33 @@ package experiments
 
 import (
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// TestEffectiveThreads pins the one thread clamp the matrix runner, DSE
+// sweeps and chamd share: an unset or sequential request stays at one
+// thread, and an explicit request is capped at GOMAXPROCS/concurrent,
+// never below one.
+func TestEffectiveThreads(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		threads, concurrent, want int
+	}{
+		{0, 1, 1},
+		{1, 1, 1},
+		{8, 1, min(8, procs)},
+		{8, procs, 1},
+		{8, 0, min(8, procs)},
+	} {
+		if got := EffectiveThreads(tc.threads, tc.concurrent); got != tc.want {
+			t.Errorf("EffectiveThreads(%d, %d) = %d, want %d (GOMAXPROCS %d)",
+				tc.threads, tc.concurrent, got, tc.want, procs)
+		}
+	}
+}
 
 // tiny returns options small enough for unit testing the drivers.
 func tiny(workloads ...string) Options {

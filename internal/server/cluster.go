@@ -413,7 +413,7 @@ func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
 	if !s.draining.Load() && known && req.By != s.selfID() && s.cl.Alive(req.By) {
 		var queued []*Job
 		running := 0
-		for _, j := range s.store.Snapshot() {
+		for _, j := range s.store.Unfinished() {
 			switch state, pooled := j.poolState(); {
 			case state == StateRunning:
 				running++

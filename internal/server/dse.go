@@ -8,6 +8,7 @@ import (
 
 	"chameleon/internal/config"
 	"chameleon/internal/dse"
+	"chameleon/internal/experiments"
 	"chameleon/internal/sim"
 )
 
@@ -123,7 +124,7 @@ func (s *Server) evalDSECell(ctx context.Context, parent JobSpec, c dse.Cell) (d
 	if err != nil {
 		return dse.Eval{}, err
 	}
-	o.Threads = s.simThreads(o.Threads)
+	o.Threads = experiments.EffectiveThreads(o.Threads, s.opts.Workers)
 	sys, err := sim.New(o)
 	if err != nil {
 		return dse.Eval{}, err

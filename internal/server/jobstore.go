@@ -400,6 +400,9 @@ type Store struct {
 	jobs   map[string]*Job
 	ids    []string // submission order, for listing
 	seq    atomic.Uint64
+	// live indexes ids: every job before it has reached a terminal
+	// state. It only moves forward (see Unfinished).
+	live int
 
 	// onEnd is handed to every new job (see Job.onEnd).
 	onEnd func(from, to JobState)
@@ -431,16 +434,28 @@ func (s *Store) NewJob(spec JobSpec, now time.Time) *Job {
 	return j
 }
 
-// Snapshot returns every job in submission order (live pointers, for
-// the work-stealing hand-off).
-func (s *Store) Snapshot() []*Job {
+// Unfinished returns, in submission order, every job from the oldest
+// one not yet in a terminal state onward (later jobs may have ended
+// too). Terminal states are final, so the store keeps a cursor past the
+// ended prefix of its history that only moves forward: a walk costs the
+// tail from the oldest unfinished job, not the whole history of
+// finished and cached jobs. Job locks are taken outside the store's.
+func (s *Store) Unfinished() []*Job {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.ids))
-	for _, id := range s.ids {
-		out = append(out, s.jobs[id])
+	from := s.live
+	tail := make([]*Job, 0, len(s.ids)-from)
+	for _, id := range s.ids[from:] {
+		tail = append(tail, s.jobs[id])
 	}
-	return out
+	s.mu.Unlock()
+	ended := 0
+	for ended < len(tail) && tail[ended].State().Terminal() {
+		ended++
+	}
+	s.mu.Lock()
+	s.live = max(s.live, from+ended)
+	s.mu.Unlock()
+	return tail[ended:]
 }
 
 // Get looks a job up by ID.

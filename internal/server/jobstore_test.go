@@ -155,3 +155,66 @@ func TestJobRevertClearsExecutionState(t *testing.T) {
 		t.Fatal("reverted job must be startable")
 	}
 }
+
+// TestStoreUnfinishedSkipsEndedPrefix: behind 10k finished jobs, the
+// walk the steal handler uses yields exactly the one queued job, and a
+// second walk starts past the finished prefix instead of rereading it.
+func TestStoreUnfinishedSkipsEndedPrefix(t *testing.T) {
+	const ended = 10_000
+	st := NewStore()
+	now := time.Now()
+	var first *Job
+	for i := 0; i < ended; i++ {
+		j := st.NewJob(fastSpec(1), now)
+		if i == 0 {
+			first = j
+		}
+		j.markCached([]byte("{}"), now)
+	}
+	queued := st.NewJob(fastSpec(2), now)
+
+	if got := st.Unfinished(); len(got) != 1 || got[0] != queued {
+		t.Fatalf("first walk = %d jobs, want just the queued one", len(got))
+	}
+	if st.live != ended {
+		t.Fatalf("cursor = %d after the first walk, want %d", st.live, ended)
+	}
+
+	// A second walk that read the prefix again would block on the first
+	// job's lock.
+	first.mu.Lock()
+	walked := make(chan []*Job, 1)
+	go func() { walked <- st.Unfinished() }()
+	select {
+	case got := <-walked:
+		first.mu.Unlock()
+		if len(got) != 1 || got[0] != queued {
+			t.Fatalf("second walk = %d jobs, want just the queued one", len(got))
+		}
+	case <-time.After(5 * time.Second):
+		first.mu.Unlock()
+		t.Fatal("second walk revisited the finished prefix")
+	}
+	if st.live != ended {
+		t.Fatalf("cursor = %d after the second walk, want %d", st.live, ended)
+	}
+
+	// Concurrent walks while the last job ends: the cursor only moves
+	// forward and settles past the whole history.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st.Unfinished()
+		}()
+	}
+	queued.markCached([]byte("{}"), now)
+	wg.Wait()
+	if got := st.Unfinished(); len(got) != 0 {
+		t.Fatalf("walk after every job ended = %d jobs, want none", len(got))
+	}
+	if st.live != ended+1 {
+		t.Fatalf("cursor = %d with every job ended, want %d", st.live, ended+1)
+	}
+}

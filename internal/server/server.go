@@ -333,40 +333,13 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// simThreads resolves a job's per-simulation thread count. Jobs are
-// parallel by default: an unspecified count (0) becomes 2, since the
-// parallel engine covers timeline sampling, trace capture and evicting
-// footprints. Two threads do not make every job faster. On a 2-vCPU
-// Xeon, a job shaped like perfbench's chamd-mix sim jobs (scale 1024,
-// 12 cores, 50k warm-up plus 50k instructions, GemsFDTD, lbm or
-// stream) takes a median of about 41 ms alone at threads 1 and about
-// 55 ms at threads 2. Under chamd-mix's open-loop load at this default,
-// perfbench measures job_p50_ms at 58–98 ms across runs on that host.
-// Changing the default
-// needs its own perfbench comparison. An explicit 1 still requests
-// the sequential engine. Larger requests are clamped
-// against the worker pool — with Workers jobs potentially running at
-// once, each may use about GOMAXPROCS/Workers threads before the pool
-// oversubscribes the host — but never below 2, so the algorithmic
-// speedup survives a crowded pool.
-func (s *Server) simThreads(requested int) int {
-	if requested == 0 {
-		requested = 2
-	}
-	if requested <= 1 {
-		return 1
-	}
-	limit := max(runtime.GOMAXPROCS(0)/s.opts.Workers, 2)
-	return min(requested, limit)
-}
-
 // runSim executes a single-simulation job.
 func (s *Server) runSim(ctx context.Context, j *Job) (any, error) {
 	o, err := j.Spec.SimOptions()
 	if err != nil {
 		return nil, err
 	}
-	o.Threads = s.simThreads(o.Threads)
+	o.Threads = experiments.EffectiveThreads(o.Threads, s.opts.Workers)
 	s.metrics.SimThreadsEffective.Set(int64(o.Threads))
 	o.Progress = j.setSimProgress
 	sys, err := sim.New(o)

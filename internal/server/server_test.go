@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"testing"
 	"time"
 
@@ -88,13 +89,15 @@ func TestSubmitResultMatchesDirectRun(t *testing.T) {
 	}
 }
 
-// TestJobsParallelByDefault: a sim job with timeline sampling — which
-// every chamd job attaches — runs on the parallel engine, both when the
-// spec asks for threads explicitly and when it leaves the count unset
-// (server default 2), and its result is DeepEqual to the same spec run
-// sequentially, up to the Engine provenance fields.
-func TestJobsParallelByDefault(t *testing.T) {
-	s := newTestServer(t, Options{Workers: 1})
+// TestJobThreadsDefault: a sim job that leaves threads unset runs on
+// the sequential engine, and an explicit threads: 8 runs on whichever
+// engine the clamp to GOMAXPROCS/Workers implies. Either way its result
+// is byte-identical to the same spec run directly at Threads 1, up to
+// the Engine provenance fields. Threads stays out of the content hash,
+// so each row gets its own server and cannot be served from the other's
+// cache entry.
+func TestJobThreadsDefault(t *testing.T) {
+	const workers = 1
 
 	// The sequential reference: the same spec run directly at Threads=1.
 	spec, err := fastSpec(11).Normalize()
@@ -117,17 +120,33 @@ func TestJobsParallelByDefault(t *testing.T) {
 	if want.Engine != sim.EngineSequential {
 		t.Fatalf("reference run engine = %q, want sequential", want.Engine)
 	}
+	want.Engine, want.FallbackReason = "", ""
+	wb, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for _, threads := range []int{0, 8} {
+	clamped := sim.EngineSequential
+	if runtime.GOMAXPROCS(0)/workers >= 2 {
+		clamped = sim.EngineParallel
+	}
+	for _, tc := range []struct {
+		threads int
+		engine  string
+	}{
+		{0, sim.EngineSequential},
+		{8, clamped},
+	} {
+		s := newTestServer(t, Options{Workers: workers})
 		spec := fastSpec(11)
-		spec.Threads = threads
+		spec.Threads = tc.threads
 		j, err := s.Submit(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := waitTerminal(t, j, 30*time.Second)
 		if st.State != StateDone {
-			t.Fatalf("threads=%d: state = %s (err %q), want done", threads, st.State, st.Error)
+			t.Fatalf("threads=%d: state = %s (err %q), want done", tc.threads, st.State, st.Error)
 		}
 		body, err := j.Result()
 		if err != nil {
@@ -137,26 +156,20 @@ func TestJobsParallelByDefault(t *testing.T) {
 		if err := json.Unmarshal(body, &got); err != nil {
 			t.Fatal(err)
 		}
-		if got.Engine != sim.EngineParallel || got.FallbackReason != "" {
-			t.Fatalf("threads=%d: served engine %q/%q, want parallel", threads, got.Engine, got.FallbackReason)
+		if got.Engine != tc.engine || got.FallbackReason != "" {
+			t.Fatalf("threads=%d: served engine %q/%q, want %q", tc.threads, got.Engine, got.FallbackReason, tc.engine)
 		}
 		got.Engine, got.FallbackReason = "", ""
-		w := *want
-		w.Engine, w.FallbackReason = "", ""
-		wb, err := json.Marshal(&w)
-		if err != nil {
-			t.Fatal(err)
-		}
 		gb, err := json.Marshal(&got)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(wb) != string(gb) {
-			t.Errorf("threads=%d: served result diverged from the sequential run:\nseq: %s\npar: %s", threads, wb, gb)
+			t.Errorf("threads=%d: served result diverged from the sequential run:\nseq: %s\ngot: %s", tc.threads, wb, gb)
 		}
-	}
-	if v := s.Metrics().Vars().Get("sim_parallel_fallback_total"); v == nil {
-		t.Error("sim_parallel_fallback_total missing from the expvar document")
+		if v := s.Metrics().Vars().Get("sim_parallel_fallback_total"); v == nil {
+			t.Error("sim_parallel_fallback_total missing from the expvar document")
+		}
 	}
 }
 
